@@ -35,11 +35,19 @@ class Collector {
   /// `full_flow` enables five-tuple recording on the node's tx side.
   void register_node(NodeId id, bool full_flow);
 
-  /// Record a batch read from the node's input queue (DPDK rx hook).
+  /// Record a batch read from the node's input queue (DPDK rx hook):
+  /// counts it in collector.rx_* and appends it.
   void on_rx(NodeId id, TimeNs ts, std::span<const Packet> batch);
 
-  /// Record a batch written toward `peer` (DPDK tx hook).
+  /// Record a batch written toward `peer` (DPDK tx hook): counts it in
+  /// collector.tx_* and appends it.
   void on_tx(NodeId id, NodeId peer, TimeNs ts, std::span<const Packet> batch);
+
+  /// Append without counting: for copying records that were already
+  /// collected (and counted) once, e.g. a streaming window's slice.
+  void append_rx(NodeId id, TimeNs ts, std::span<const Packet> batch);
+  void append_tx(NodeId id, NodeId peer, TimeNs ts,
+                 std::span<const Packet> batch);
 
   std::size_t node_count() const { return traces_.size(); }
   bool has_node(NodeId id) const {

@@ -1,10 +1,10 @@
 // IntrospectionHub: the hand-off point between the (single-threaded)
-// streaming engines and the HTTP introspection thread, plus the wiring
+// streaming engine and the HTTP introspection thread, plus the wiring
 // that installs the standard endpoint routes on an HttpServer.
 //
-// The engines are not thread-safe — everything they own is touched only
-// from the steering thread — so the HTTP thread must never reach into
-// them. Instead, each closed window the engine publishes into this hub:
+// The engine is not thread-safe — everything it owns is touched only
+// from the ingestion thread — so the HTTP thread must never reach into
+// it. Instead, each closed window the engine publishes into this hub:
 // a compact WindowNote for the /windows board, and (when the window had
 // victims) pre-rendered --explain output — the human tree and the
 // provenance JSON per top victim. Rendering happens on the engine thread

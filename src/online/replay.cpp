@@ -11,7 +11,7 @@
 namespace microscope::online {
 
 std::vector<WindowResult> replay_collector(const collector::Collector& col,
-                                           StreamTarget& engine,
+                                           OnlineEngine& engine,
                                            std::size_t poll_every,
                                            bool finish,
                                            const WindowCallback& on_window) {
@@ -98,7 +98,7 @@ std::vector<WindowResult> replay_collector(const collector::Collector& col,
   return windows;
 }
 
-TraceFileTailer::TraceFileTailer(std::string path, StreamTarget& engine)
+TraceFileTailer::TraceFileTailer(std::string path, OnlineEngine& engine)
     : path_(std::move(path)), engine_(&engine) {
   is_.open(path_, std::ios::binary);
   if (!is_) throw std::runtime_error("cannot open for reading: " + path_);

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "collector/collector.hpp"
-#include "online/stream_target.hpp"
+#include "online/engine.hpp"
 
 namespace microscope::online {
 
@@ -31,12 +31,12 @@ using WindowCallback = std::function<void(const WindowResult&)>;
 /// calling engine.poll() every `poll_every` batches. Closed windows are
 /// returned in order; when `finish` is set the stream is finalized too.
 std::vector<WindowResult> replay_collector(const collector::Collector& col,
-                                           StreamTarget& engine,
+                                           OnlineEngine& engine,
                                            std::size_t poll_every = 64,
                                            bool finish = true,
                                            const WindowCallback& on_window = {});
 
-/// Incremental reader for save_trace_stream files feeding a StreamTarget.
+/// Incremental reader for save_trace_stream files feeding an OnlineEngine.
 /// Parses the header (registering the node table on the engine and
 /// switching the engine's wire framing to match the file version — raw for
 /// v1, framed for v2), then forwards record bytes through the engine's
@@ -44,7 +44,7 @@ std::vector<WindowResult> replay_collector(const collector::Collector& col,
 /// OnlineOptions::decode.
 class TraceFileTailer {
  public:
-  TraceFileTailer(std::string path, StreamTarget& engine);
+  TraceFileTailer(std::string path, OnlineEngine& engine);
 
   /// Read and ingest up to `max_bytes` of new data. Returns bytes
   /// consumed; 0 means no new data right now (the file may still grow).
@@ -61,7 +61,7 @@ class TraceFileTailer {
   void try_parse_header();
 
   std::string path_;
-  StreamTarget* engine_;
+  OnlineEngine* engine_;
   std::ifstream is_;
   bool header_done_{false};
   std::vector<std::byte> header_buf_;

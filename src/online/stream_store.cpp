@@ -40,13 +40,17 @@ collector::Collector StreamStore::materialize(TimeNs t_lo, TimeNs t_hi,
   collector::Collector col(opts);
   for (NodeId id = 0; id < registered_.size(); ++id)
     if (registered_[id]) col.register_node(id, full_flow_[id]);
-  visit_slice(t_lo, t_hi, tx_lo, [&](NodeId id, const StreamBatch& b) {
-    if (b.dir == collector::Direction::kRx) {
-      col.on_rx(id, b.ts, b.pkts);
-    } else {
-      col.on_tx(id, b.peer, b.ts, b.pkts);
+  for (NodeId id = 0; id < streams_.size(); ++id) {
+    for (const StreamBatch& b : streams_[id]) {
+      const bool rx = b.dir == collector::Direction::kRx;
+      if (b.ts < (rx ? t_lo : tx_lo) || b.ts > t_hi) continue;
+      if (rx) {
+        col.append_rx(id, b.ts, b.pkts);
+      } else {
+        col.append_tx(id, b.peer, b.ts, b.pkts);
+      }
     }
-  });
+  }
   return col;
 }
 

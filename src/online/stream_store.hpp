@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <vector>
 
@@ -21,27 +20,14 @@
 namespace microscope::online {
 
 /// One ingested batch, self-contained (no shared entry arrays).
-///
-/// The last three fields are flow-sharded ingestion bookkeeping
-/// (shard/sharded_engine.hpp); single-shard ingestion leaves them
-/// defaulted. A sharded steering thread splits each original record into
-/// per-shard sub-batches: `seq` is the global ingest sequence of the
-/// original record (shared by all its sub-batches), `origin_count` its
-/// original packet count, and `origin[i]` the position pkts[i] held in it
-/// (empty = identity, i.e. this sub-batch is the whole record). The
-/// coordinator's merge uses them to reassemble the exact original batch.
 struct StreamBatch {
   collector::Direction dir{collector::Direction::kRx};
   NodeId peer{kInvalidNode};  // tx only
   TimeNs ts{0};
   std::vector<Packet> pkts;
-  std::uint64_t seq{0};
-  std::uint16_t origin_count{0};
-  std::vector<std::uint16_t> origin;
 
   std::size_t bytes() const {
-    return sizeof(StreamBatch) + pkts.size() * sizeof(Packet) +
-           origin.size() * sizeof(std::uint16_t);
+    return sizeof(StreamBatch) + pkts.size() * sizeof(Packet);
   }
 };
 
@@ -71,7 +57,9 @@ class StreamStore {
   /// Build a Collector holding exactly the retained batches with
   /// ts in [t_lo, t_hi] (rx) / [tx_lo, t_hi] (tx), per-node order
   /// preserved. Every registered node is registered in the result even if
-  /// it contributes no batch.
+  /// it contributes no batch. The copy is not counted as collection: it
+  /// appends without touching the collector.* hook counters, which counted
+  /// each record once when it was first collected.
   ///
   /// The asymmetric lower cut (tx_lo <= t_lo) exists for link alignment:
   /// a packet in flight across the cut leaves an rx record inside the
@@ -85,22 +73,6 @@ class StreamStore {
   /// inferred drops and the stream heads resync exactly.
   collector::Collector materialize(TimeNs t_lo, TimeNs t_hi,
                                    TimeNs tx_lo) const;
-
-  /// Invoke `fn(node, batch)` for every retained batch inside the same
-  /// asymmetric cut materialize() applies ([t_lo, t_hi] rx,
-  /// [tx_lo, t_hi] tx), in per-node ingestion order. The sharded engine's
-  /// merge walks every shard store through this to collect a window's
-  /// sub-batches before reassembly.
-  template <typename Fn>
-  void visit_slice(TimeNs t_lo, TimeNs t_hi, TimeNs tx_lo, Fn&& fn) const {
-    for (NodeId id = 0; id < streams_.size(); ++id) {
-      for (const StreamBatch& b : streams_[id]) {
-        const TimeNs lo = b.dir == collector::Direction::kTx ? tx_lo : t_lo;
-        if (b.ts < lo || b.ts > t_hi) continue;
-        fn(id, b);
-      }
-    }
-  }
 
   /// True when no batch with ts in [t_lo, t_hi] is retained.
   bool empty_in(TimeNs t_lo, TimeNs t_hi) const;

@@ -19,7 +19,7 @@ constexpr std::size_t kTrackedEntryBytes = 160;
 constexpr std::size_t kBoardEntryBytes = 96;
 
 /// Registry handles, resolved once per process (same pattern as the
-/// engines' OnlineMetrics). Names are pre-registered by
+/// engine's OnlineMetrics). Names are pre-registered by
 /// obs::register_pipeline_metrics.
 struct SketchMetrics {
   obs::Gauge& budget_bytes;
@@ -76,8 +76,8 @@ void clamp_side(autofocus::SideKey& s, int level) {
   if (level >= 7) s = autofocus::SideKey{};
 }
 
-/// SideKey::leaf that tolerates nodes missing from the catalog (sharded
-/// replay against a partial catalog): falls back to type 0 instead of
+/// SideKey::leaf that tolerates nodes missing from the catalog (a stream
+/// replayed against a partial catalog): falls back to type 0 instead of
 /// throwing out of type_of.at().
 autofocus::SideKey leaf_side(const FiveTuple& ft, NodeId node,
                              const autofocus::NfCatalog& cat) {

@@ -18,6 +18,7 @@
 #include "eval/scenarios.hpp"
 #include "nf/inject.hpp"
 #include "nf/traffic.hpp"
+#include "obs/metrics.hpp"
 #include "online/aggregator.hpp"
 #include "online/engine.hpp"
 #include "online/replay.hpp"
@@ -455,6 +456,44 @@ TEST(Online, BackpressureDropsAndCounts) {
   // Watermarks advanced through the drops: the stream still finishes.
   const auto windows = eng.finish();
   EXPECT_FALSE(windows.empty());
+}
+
+TEST(Online, WindowCloseDoesNotRecountCollectedRecords) {
+  if constexpr (!obs::kMetricsEnabled) {
+    GTEST_SKIP() << "metrics compiled out (MICROSCOPE_NO_METRICS)";
+  }
+  // Each record is counted once, when it is collected. Closing a window
+  // copies the retained slice into a throwaway Collector; that copy must
+  // not bump the collector.* hook counters a second time.
+  const Scenario s = make_fig10_scenario();
+  std::uint64_t fed = 0;
+  for (NodeId id = 0; id < s.col.node_count(); ++id)
+    if (s.col.has_node(id))
+      fed += s.col.node(id).rx_batches.size() +
+             s.col.node(id).tx_batches.size();
+
+  obs::Registry& reg = obs::Registry::global();
+  const auto hook_counts = [&reg] {
+    std::vector<std::uint64_t> v;
+    for (const char* name : {"collector.rx_batches", "collector.rx_packets",
+                             "collector.tx_batches", "collector.tx_packets"})
+      v.push_back(reg.counter(name).value());
+    return v;
+  };
+  const std::vector<std::uint64_t> hooks_before = hook_counts();
+  const std::uint64_t ingested_before =
+      reg.counter("online.batches_ingested").value();
+
+  OnlineEngine eng(s.graph, s.rates, base_options(s, 2_ms, 1, 100_us));
+  const auto windows = replay_collector(s.col, eng, 64);  // polls, finishes
+  std::size_t journeys = 0;
+  for (const WindowResult& w : windows) journeys += w.journeys;
+  ASSERT_GT(journeys, 0u);  // slices were materialized and reconstructed
+
+  EXPECT_EQ(eng.stats().batches_ingested, fed);
+  EXPECT_EQ(reg.counter("online.batches_ingested").value() - ingested_before,
+            fed);
+  EXPECT_EQ(hook_counts(), hooks_before);
 }
 
 TEST(Online, AggregatorDecaysAndRanks) {
