@@ -49,17 +49,6 @@ TimeNs Collector::noisy(TimeNs ts) {
 void Collector::on_rx(NodeId id, TimeNs ts, std::span<const Packet> batch) {
   rx_batches_->add();
   rx_packets_->add(batch.size());
-  append_rx(id, ts, batch);
-}
-
-void Collector::on_tx(NodeId id, NodeId peer, TimeNs ts,
-                      std::span<const Packet> batch) {
-  tx_batches_->add();
-  tx_packets_->add(batch.size());
-  append_tx(id, peer, ts, batch);
-}
-
-void Collector::append_rx(NodeId id, TimeNs ts, std::span<const Packet> batch) {
   NodeTrace& t = mutable_node(id);
   BatchRecord rec;
   rec.ts = noisy(ts);
@@ -72,8 +61,10 @@ void Collector::append_rx(NodeId id, TimeNs ts, std::span<const Packet> batch) {
   }
 }
 
-void Collector::append_tx(NodeId id, NodeId peer, TimeNs ts,
-                          std::span<const Packet> batch) {
+void Collector::on_tx(NodeId id, NodeId peer, TimeNs ts,
+                      std::span<const Packet> batch) {
+  tx_batches_->add();
+  tx_packets_->add(batch.size());
   NodeTrace& t = mutable_node(id);
   BatchRecord rec;
   rec.ts = noisy(ts);

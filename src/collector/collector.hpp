@@ -43,12 +43,6 @@ class Collector {
   /// collector.tx_* and appends it.
   void on_tx(NodeId id, NodeId peer, TimeNs ts, std::span<const Packet> batch);
 
-  /// Append without counting: for copying records that were already
-  /// collected (and counted) once, e.g. a streaming window's slice.
-  void append_rx(NodeId id, TimeNs ts, std::span<const Packet> batch);
-  void append_tx(NodeId id, NodeId peer, TimeNs ts,
-                 std::span<const Packet> batch);
-
   std::size_t node_count() const { return traces_.size(); }
   bool has_node(NodeId id) const {
     return id < traces_.size() && registered_[id];

@@ -15,11 +15,13 @@ struct Latch {
   std::mutex m;
   std::condition_variable cv;
 
+  // The decrement happens under the lock: the waiter owns the latch (it
+  // lives on its stack) and may destroy it as soon as it can observe zero,
+  // so the last count_down must be done touching it by then.
   void count_down() {
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lk(m);
+    std::lock_guard<std::mutex> lk(m);
+    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
       cv.notify_all();
-    }
   }
   void wait() {
     std::unique_lock<std::mutex> lk(m);

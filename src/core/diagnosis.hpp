@@ -57,11 +57,14 @@ class Diagnoser {
   /// latency (falls back to the max-latency hop).
   std::vector<Victim> latency_victims_by_percentile(double pct) const;
 
-  /// Delivered packets with end-to-end latency above a fixed threshold.
-  std::vector<Victim> latency_victims_by_threshold(DurationNs threshold) const;
+  /// Delivered packets with end-to-end latency above a fixed threshold,
+  /// among the journeys with ids from `first` on (default: all).
+  std::vector<Victim> latency_victims_by_threshold(
+      DurationNs threshold, std::uint32_t first = 0) const;
 
-  /// Dropped packets (queue overflow or NF policy).
-  std::vector<Victim> drop_victims() const;
+  /// Dropped packets (queue overflow or NF policy) among the journeys with
+  /// ids from `first` on (default: all).
+  std::vector<Victim> drop_victims(std::uint32_t first = 0) const;
 
   /// Packets of `flow` delivered inside windows where the flow's delivered
   /// throughput fell below `min_rate_pps`.

@@ -79,12 +79,17 @@ std::vector<Victim> Diagnoser::latency_victims_by_percentile(double pct) const {
 }
 
 std::vector<Victim> Diagnoser::latency_victims_by_threshold(
-    DurationNs threshold) const {
+    DurationNs threshold, std::uint32_t first) const {
   const auto wscope = obs::CorrelationScope::for_window(opts_.trace_window);
   obs::TraceSpan span("core", "victims.latency");
-  const auto stats = hop_stats(*rt_);
+  // No sigma exceeds an infinite k, so the per-NF statistics (a pass over
+  // every journey) would never be consulted.
+  const auto stats = std::isfinite(opts_.abnormal_stddev_k)
+                         ? hop_stats(*rt_)
+                         : std::vector<RunningStats>(rt_->graph().node_count());
   std::vector<Victim> out;
-  for (std::uint32_t jid = 0; jid < rt_->journeys().size(); ++jid) {
+  for (std::uint32_t jid = std::max(first, rt_->first_journey());
+       jid < rt_->journey_end(); ++jid) {
     const Journey& j = rt_->journey(jid);
     if (j.fate != Fate::kDelivered) continue;
     if (j.e2e_latency() < threshold) continue;
@@ -96,11 +101,12 @@ std::vector<Victim> Diagnoser::latency_victims_by_threshold(
   return out;
 }
 
-std::vector<Victim> Diagnoser::drop_victims() const {
+std::vector<Victim> Diagnoser::drop_victims(std::uint32_t first) const {
   const auto wscope = obs::CorrelationScope::for_window(opts_.trace_window);
   obs::TraceSpan span("core", "victims.drops");
   std::vector<Victim> out;
-  for (std::uint32_t jid = 0; jid < rt_->journeys().size(); ++jid) {
+  for (std::uint32_t jid = std::max(first, rt_->first_journey());
+       jid < rt_->journey_end(); ++jid) {
     const Journey& j = rt_->journey(jid);
     if (j.fate != Fate::kDroppedQueue && j.fate != Fate::kDroppedPolicy)
       continue;
@@ -128,7 +134,8 @@ std::vector<Victim> Diagnoser::connection_stall_victims(
     TimeNs done;
   };
   std::unordered_map<FiveTuple, std::vector<Entry>, FiveTupleHash> conns;
-  for (std::uint32_t jid = 0; jid < rt_->journeys().size(); ++jid) {
+  for (std::uint32_t jid = rt_->first_journey(); jid < rt_->journey_end();
+       ++jid) {
     const Journey& j = rt_->journey(jid);
     if (j.fate != Fate::kDelivered) continue;
     if (j.flow.proto != static_cast<std::uint8_t>(IpProto::kTcp)) continue;
@@ -170,7 +177,8 @@ std::vector<Victim> Diagnoser::in_nf_delay_victims(DurationNs threshold) const {
   const auto wscope = obs::CorrelationScope::for_window(opts_.trace_window);
   obs::TraceSpan span("core", "victims.in_nf_delay");
   std::vector<Victim> out;
-  for (std::uint32_t jid = 0; jid < rt_->journeys().size(); ++jid) {
+  for (std::uint32_t jid = rt_->first_journey(); jid < rt_->journey_end();
+       ++jid) {
     const Journey& j = rt_->journey(jid);
     for (const trace::Hop& h : j.hops) {
       if (h.depart == kTimeNever || h.read == kTimeNever) continue;
@@ -203,7 +211,8 @@ std::vector<Victim> Diagnoser::throughput_victims(const FiveTuple& flow,
     TimeNs done;
   };
   std::vector<Entry> pkts;
-  for (std::uint32_t jid = 0; jid < rt_->journeys().size(); ++jid) {
+  for (std::uint32_t jid = rt_->first_journey(); jid < rt_->journey_end();
+       ++jid) {
     const Journey& j = rt_->journey(jid);
     if (j.fate != Fate::kDelivered || !(j.flow == flow)) continue;
     pkts.push_back({jid, j.hops.back().depart});

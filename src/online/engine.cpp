@@ -39,11 +39,23 @@ struct OnlineMetrics {
   obs::Counter& windows_closed;
   obs::Counter& windows_idle_forced;
   obs::Counter& windows_skipped_empty;
+  obs::Counter& index_renumbers;
   obs::Histogram& window_close_ns;
   obs::Gauge& watermark_lag_ns;
   obs::Gauge& ring_dropped_records;
   obs::Gauge& retained_batches;
   obs::Gauge& retained_bytes;
+  // Window-close stages; together they cover online.window_close_ns.
+  obs::Histogram& stage_store_ns;
+  obs::Histogram& stage_evict_ns;
+  obs::Histogram& stage_align_ns;
+  obs::Histogram& stage_timeline_ns;
+  obs::Histogram& stage_walk_ns;
+  obs::Histogram& stage_victims_ns;
+  obs::Histogram& stage_diagnose_ns;
+  obs::Histogram& stage_rollback_ns;
+  obs::Histogram& stage_aggregate_ns;
+  obs::Histogram& stage_publish_ns;
 
   static OnlineMetrics& get() {
     obs::Registry& r = obs::Registry::global();
@@ -55,11 +67,22 @@ struct OnlineMetrics {
         r.counter("online.windows_closed"),
         r.counter("online.windows_idle_forced"),
         r.counter("online.windows_skipped_empty"),
+        r.counter("online.index_renumbers"),
         r.histogram("online.window_close_ns"),
         r.gauge("online.watermark_lag_ns"),
         r.gauge("online.ring_dropped_records"),
         r.gauge("online.retained_batches"),
-        r.gauge("online.retained_bytes")};
+        r.gauge("online.retained_bytes"),
+        r.histogram("online.stage.store_ns"),
+        r.histogram("online.stage.evict_ns"),
+        r.histogram("online.stage.align_ns"),
+        r.histogram("online.stage.timeline_ns"),
+        r.histogram("online.stage.walk_ns"),
+        r.histogram("online.stage.victims_ns"),
+        r.histogram("online.stage.diagnose_ns"),
+        r.histogram("online.stage.rollback_ns"),
+        r.histogram("online.stage.aggregate_ns"),
+        r.histogram("online.stage.publish_ns")};
     return m;
   }
 };
@@ -69,10 +92,10 @@ struct OnlineMetrics {
 OnlineEngine::OnlineEngine(trace::GraphView graph,
                            std::vector<RatePerNs> peak_rates,
                            OnlineOptions opts)
-    : graph_(std::move(graph)),
-      peak_rates_(std::move(peak_rates)),
+    : peak_rates_(std::move(peak_rates)),
       opts_(std::move(opts)),
       history_(derive_history(opts_)),
+      rt_(std::move(graph), opts_.reconstruct),
       wm_(opts_.window_ns, opts_.slack_ns, opts_.idle_timeout_ns),
       agg_(make_aggregator(opts_.aggregator, opts_.agg_memory_budget,
                            opts_.agg_catalog)),
@@ -157,12 +180,7 @@ void OnlineEngine::ingest(collector::Direction dir, NodeId node, NodeId peer,
     m.backpressure_dropped.add();
     return;
   }
-  StreamBatch b;
-  b.dir = dir;
-  b.peer = peer;
-  b.ts = ts;
-  b.pkts.assign(pkts.begin(), pkts.end());
-  store_.add(node, std::move(b));
+  store_.add(node, dir, peer, ts, pkts);
   ++stats_.batches_ingested;
   stats_.packets_ingested += pkts.size();
   m.batches_ingested.add();
@@ -196,11 +214,14 @@ std::vector<WindowResult> OnlineEngine::close_ready(bool finishing) {
     obs::TraceSpan wspan("online", "window.close");
     obs::ScopedTimer close_timer(m.window_close_ns);
     WindowResult res = diagnose_window(b);
-    publish(res);
-    agg_->ingest(res.diagnoses);
-    close_timer.stop();
-    wspan.set_items(res.diagnoses.size());
-    wspan.stop();
+    {
+      obs::ScopedTimer t(m.stage_publish_ns);
+      publish(res);
+    }
+    {
+      obs::ScopedTimer t(m.stage_aggregate_ns);
+      agg_->ingest(res.diagnoses);
+    }
     ++stats_.windows_closed;
     m.windows_closed.add();
     if (b.idle_forced) {
@@ -208,10 +229,20 @@ std::vector<WindowResult> OnlineEngine::close_ready(bool finishing) {
       m.windows_idle_forced.add();
     }
     wm_.advance();
-    // Everything older than what the *next* window can reach is dead. The
-    // extra slack_ns covers the tx-side alignment warm-up margin that the
-    // next materialization will extend below its rx cut.
-    store_.evict_before(b.end - history_ - opts_.slack_ns);
+    // Everything older than what the *next* window can reach is dead;
+    // the extra slack_ns keeps the in-flight tail of that reach.
+    const TimeNs horizon = b.end - history_ - opts_.slack_ns;
+    {
+      obs::ScopedTimer t(m.stage_store_ns);
+      store_.evict_before(horizon);
+    }
+    {
+      obs::ScopedTimer t(m.stage_evict_ns);
+      rt_.evict_before(horizon);
+    }
+    close_timer.stop();
+    wspan.set_items(res.diagnoses.size());
+    wspan.stop();
     out.push_back(std::move(res));
   }
   m.retained_batches.set(static_cast<double>(store_.retained_batches()));
@@ -220,54 +251,118 @@ std::vector<WindowResult> OnlineEngine::close_ready(bool finishing) {
 }
 
 WindowResult OnlineEngine::diagnose_window(const WindowBounds& b) {
+  OnlineMetrics& m = OnlineMetrics::get();
   WindowResult res;
   res.index = b.index;
   res.start = b.start;
   res.end = b.end;
   res.idle_forced = b.idle_forced;
 
-  const TimeNs lo = b.start - history_;
   const TimeNs hi = b.end + opts_.slack_ns;
-  if (store_.empty_in(lo, hi)) {
+  obs::ScopedTimer store_timer(m.stage_store_ns);
+  if (store_.empty_in(b.start - history_, hi)) {
     ++stats_.windows_skipped_empty;
-    OnlineMetrics::get().windows_skipped_empty.add();
+    m.windows_skipped_empty.add();
     return res;
   }
+  if (trace::kNoEntry - std::max(store_.index_end(), rt_.index_end()) <
+      kIndexHeadroom) {
+    renumber();
+  }
+  const trace::NodeTraces recs = store_.traces(rt_.graph().node_count());
+  store_timer.stop();
 
-  // Tx side reaches slack below the rx cut so that every in-slice rx
-  // entry's origin tx is present — see StreamStore::materialize.
-  const collector::Collector col =
-      store_.materialize(lo, hi, lo - opts_.slack_ns);
-  trace::ReconstructedTrace rt =
-      trace::reconstruct(col, graph_, opts_.reconstruct);
-  res.journeys = rt.journeys().size();
+  // Settle everything read before the window end (the records up to
+  // end + slack are all present by the watermark rule), then align the
+  // tail up to end + slack provisionally and walk the packets in flight at
+  // the window end.
+  const auto record_phases = [&] {
+    const trace::ReconstructedTrace::PhaseTimes& p = rt_.last_phase_times();
+    m.stage_align_ns.record(p.align_ns);
+    m.stage_timeline_ns.record(p.timeline_ns);
+    m.stage_walk_ns.record(p.walk_ns);
+  };
+  const std::uint32_t first = rt_.extend(recs, b.end, hi);
+  record_phases();
+  const std::uint32_t provisional = rt_.speculate(recs, hi);
+  record_phases();
+  res.journeys = rt_.journey_end() - first;
 
   // The window id rides through options because diagnose_all fans out to
   // pool threads, out of reach of this thread's correlation scope.
+  obs::ScopedTimer victims_timer(m.stage_victims_ns);
   core::DiagnoserOptions dopts = opts_.diagnoser;
   dopts.trace_window = b.index;
-  core::Diagnoser diag(rt, peak_rates_, dopts);
+  const core::Diagnoser diag(rt_, peak_rates_, dopts);
   std::vector<core::Victim> victims;
-  auto keep = [&](const core::Victim& v) {
-    return v.time >= b.start && v.time < b.end;
-  };
-  if (opts_.diagnose_latency)
-    for (const core::Victim& v :
-         diag.latency_victims_by_threshold(opts_.latency_threshold))
-      if (keep(v)) victims.push_back(v);
-  if (opts_.diagnose_drops)
-    for (const core::Victim& v : diag.drop_victims())
-      if (keep(v)) victims.push_back(v);
+  {
+    // Candidates: the journeys this close built, plus victims of journeys
+    // settled earlier but anchored past their own close. Settled journeys
+    // anchored past this window wait for theirs; provisional ones are
+    // rebuilt by a later close.
+    std::vector<core::Victim> lat;
+    std::vector<core::Victim> drops;
+    std::vector<core::Victim> carried;
+    for (const core::Victim& v : carried_)
+      if (v.journey >= rt_.first_journey())
+        (v.kind == core::Victim::Kind::kDropped ? drops : lat).push_back(v);
+    if (opts_.diagnose_latency)
+      for (const core::Victim& v :
+           diag.latency_victims_by_threshold(opts_.latency_threshold, first))
+        lat.push_back(v);
+    if (opts_.diagnose_drops)
+      for (const core::Victim& v : diag.drop_victims(first))
+        drops.push_back(v);
+    const auto by_seed = [&](const core::Victim& a, const core::Victim& c) {
+      return rt_.seed(a.journey) < rt_.seed(c.journey);
+    };
+    for (std::vector<core::Victim>* vs : {&lat, &drops}) {
+      std::sort(vs->begin(), vs->end(), by_seed);
+      for (const core::Victim& v : *vs) {
+        if (v.time >= b.start && v.time < b.end) {
+          victims.push_back(v);
+        } else if (v.time >= b.end && v.journey < provisional) {
+          carried.push_back(v);
+        }
+      }
+    }
+    carried_ = std::move(carried);
+  }
+  victims_timer.stop();
 
-  if (opts_.capture_provenance || opts_.introspection) {
-    res.diagnoses.reserve(victims.size());
-    res.provenances.resize(victims.size());
-    for (std::size_t i = 0; i < victims.size(); ++i)
-      res.diagnoses.push_back(diag.diagnose(victims[i], &res.provenances[i]));
-  } else {
-    res.diagnoses = diag.diagnose_all(victims);
+  {
+    obs::ScopedTimer t(m.stage_diagnose_ns);
+    if (opts_.capture_provenance || opts_.introspection) {
+      res.diagnoses.reserve(victims.size());
+      res.provenances.resize(victims.size());
+      for (std::size_t i = 0; i < victims.size(); ++i)
+        res.diagnoses.push_back(diag.diagnose(victims[i], &res.provenances[i]));
+    } else {
+      res.diagnoses = diag.diagnose_all(victims);
+    }
+  }
+  {
+    obs::ScopedTimer t(m.stage_rollback_ns);
+    rt_.rollback();
   }
   return res;
+}
+
+void OnlineEngine::set_index_origin(std::uint32_t origin) {
+  index_origin_ = origin;
+  renumber();
+}
+
+void OnlineEngine::renumber() {
+  store_.renumber(index_origin_);
+  // The next extend() rebuilds every retained journey, the carried
+  // victims' included; victims anchored before the window are filtered
+  // out as usual.
+  rt_ = trace::ReconstructedTrace(rt_.graph(), opts_.reconstruct,
+                                  index_origin_);
+  carried_.clear();
+  ++stats_.index_renumbers;
+  OnlineMetrics::get().index_renumbers.add();
 }
 
 namespace {

@@ -3,30 +3,43 @@
 // Incrementally ingests collector record streams — direct hook calls, raw
 // wire bytes, or an external-drain RingCollector — segments them into fixed
 // time windows, and when a window closes (watermark coverage, see
-// window.hpp) materializes the retained records around it, reconstructs,
-// and diagnoses exactly as the offline pipeline would: one StreamStore, one
-// WindowManager, one ingestion thread.
+// window.hpp) grows one persistent reconstruction by the records the
+// window settled and diagnoses exactly as the offline pipeline would: one
+// StreamStore, one ReconstructedTrace, one WindowManager, one ingestion
+// thread.
+//
+// Per window close (DESIGN.md §7): the reconstruction settles every record
+// read before the window end (alignment, timelines, and every journey that
+// can no longer change), provisionally aligns the tail up to end + slack
+// and walks the packets in flight at the window end, diagnoses the victims
+// anchored in the window, and rolls the provisional work back. Each close
+// therefore aligns and walks only the records it newly settles plus that
+// tail, whatever the history.
 //
 // Equivalence guarantee: for every closed window, the emitted diagnoses are
 // byte-identical to running the offline Diagnoser over the full trace with
 // the same options and keeping the victims anchored inside that window
-// (modulo victim.journey, a reconstruction-instance-local id). This holds
-// for any window size, drain chunk size, and thread count, provided
+// (modulo victim.journey, a reconstruction-instance-local id), in the same
+// order. This holds for any window size, drain chunk size, and thread
+// count, provided
 //   slack   >= max in-flight time of a packet (queueing + propagation —
 //              this also bounds the delivery tail past a victim anchor), and
 //   history >= diagnosis lookback (max_depth recursions x max_lookback
 //              plus propagation and journey length) plus slack,
-// because then the materialized slice contains every record either side's
-// diagnosis of those victims can touch, and every analysis stage below is
-// deterministic with canonical tie-breaking. The slice's tx side extends
-// slack below the rx side so link alignment resyncs inside the warm-up
-// margin instead of desynchronizing (see StreamStore::materialize); any
-// residual warm-up divergence sits below window_start - history + slack,
-// which the history bound keeps out of every victim's diagnosis reach.
+// because then every record either side's diagnosis of those victims can
+// touch is settled identically, and every analysis stage below is
+// deterministic with canonical tie-breaking.
 //
-// Memory is bounded: records are evicted as soon as the last window that
-// may need them closes, so the retained span never exceeds
-// history + window + 2*slack (plus the not-yet-closed tail of the stream).
+// Memory is bounded: records and reconstruction state are evicted as soon
+// as the last window that may need them closes, so the retained span never
+// exceeds history + window + 2*slack (plus the not-yet-closed tail of the
+// stream, and reconstruction state awaiting an amortized compaction).
+//
+// Record, batch and journey indices are 32-bit and keep growing with the
+// stream. When fewer than kIndexHeadroom remain, a window close renumbers
+// the retained records and rebuilds the reconstruction from them — one
+// close that costs what every close cost before the reconstruction
+// persisted — so the engine runs indefinitely.
 #pragma once
 
 #include <cstddef>
@@ -128,10 +141,11 @@ struct WindowResult {
   TimeNs start{0};
   TimeNs end{0};  // exclusive
   bool idle_forced{false};
-  /// Journeys reconstructed in the window slice (0 when skipped empty).
+  /// Journeys this close built or rebuilt: the ones it settled plus the
+  /// provisional tail (0 when skipped empty).
   std::size_t journeys{0};
-  /// Diagnoses of victims anchored in [start, end), in deterministic
-  /// victim order. victim.journey is window-local bookkeeping.
+  /// Diagnoses of victims anchored in [start, end), in offline victim
+  /// order. victim.journey is reconstruction-local bookkeeping.
   std::vector<core::Diagnosis> diagnoses;
   /// Parallel to `diagnoses` when OnlineOptions::capture_provenance is
   /// set or an introspection hub is attached; empty otherwise.
@@ -155,6 +169,9 @@ struct OnlineStats {
   std::uint64_t windows_idle_forced{0};
   /// Closed windows whose slice held no records (no diagnosis run).
   std::uint64_t windows_skipped_empty{0};
+  /// Times the retained records were renumbered and the reconstruction
+  /// rebuilt because the 32-bit indices ran low.
+  std::uint64_t index_renumbers{0};
   std::size_t retained_batches{0};
   std::size_t retained_bytes{0};
   DurationNs retained_span_ns{0};
@@ -162,6 +179,10 @@ struct OnlineStats {
 
 class OnlineEngine {
  public:
+  /// A window close renumbers once fewer indices than this remain below
+  /// trace::kNoEntry — far more than one close's worth of records.
+  static constexpr std::uint32_t kIndexHeadroom = 1u << 28;
+
   OnlineEngine(trace::GraphView graph, std::vector<RatePerNs> peak_rates,
                OnlineOptions opts = {});
 
@@ -205,6 +226,11 @@ class OnlineEngine {
   /// that could contain a victim, regardless of watermarks.
   std::vector<WindowResult> finish();
 
+  /// Number records and journeys from `origin` instead of 0, now and
+  /// after every renumbering: lets a test run the engine at the top of the
+  /// 32-bit index range. Renumbers the retained records at once.
+  void set_index_origin(std::uint32_t origin);
+
   /// Stats snapshot (retained_* recomputed at call time).
   OnlineStats stats() const;
 
@@ -217,21 +243,28 @@ class OnlineEngine {
   void ingest(collector::Direction dir, NodeId node, NodeId peer, TimeNs ts,
               std::span<const Packet> pkts);
   std::vector<WindowResult> close_ready(bool finishing);
-  /// Materialize the window's record slice, reconstruct it, and diagnose
-  /// the victims anchored inside `b` (skips the work when the slice holds
-  /// no records).
+  /// Settle the reconstruction through the window's end, reconstruct the
+  /// slack tail provisionally, and diagnose the victims anchored inside
+  /// `b` (skips the work when no record lies in its reach).
   WindowResult diagnose_window(const WindowBounds& b);
+  /// Renumber the retained records from index_origin_ and start a fresh
+  /// reconstruction over them.
+  void renumber();
   /// Publish a closed window onto the introspection hub: a /windows board
   /// note always, plus rendered /explain entries when the window carries
   /// provenances. No-op without a hub. Called once per closed window —
   /// including skipped-empty ones, so the board has no gaps.
   void publish(const WindowResult& res) const;
 
-  trace::GraphView graph_;
   std::vector<RatePerNs> peak_rates_;
   OnlineOptions opts_;
   DurationNs history_;
   StreamStore store_;
+  trace::ReconstructedTrace rt_;
+  std::uint32_t index_origin_{0};
+  /// Victims of settled journeys anchored past the window they settled
+  /// in, waiting for their own window.
+  std::vector<core::Victim> carried_;
   WindowManager wm_;
   std::unique_ptr<CulpritAggregator> agg_;
   collector::WireCallbackDecoder decoder_;

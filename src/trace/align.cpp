@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/simd.hpp"
@@ -47,12 +48,17 @@
 // reference path. tests/test_parallel.cpp asserts scalar-vs-SIMD
 // byte-identity end to end; the CI feature matrix runs the full suite both
 // ways.
+//
+// Streams, lanes and cursors persist across extend() calls, and each call
+// walks only the rx entries settled since the previous one. Indices are
+// absolute (see NodeTrace::rx_base); the per-pass cursors below work on
+// pointers rebased to the cursor position at the start of the pass, so
+// the hot loops are unchanged by eviction.
 namespace microscope::trace {
 namespace {
 
 using collector::BatchRecord;
 using collector::NodeTrace;
-
 
 /// After a zip block fails (or the active stream changes), require this
 /// many consecutive same-stream matches before attempting another block.
@@ -60,194 +66,55 @@ using collector::NodeTrace;
 /// tried, never what matches.
 constexpr std::uint32_t kZipMinRun = 4;
 
-/// Expand batch records into per-entry SoA lanes (batch index + batch
-/// timestamp). Returns whether the batch timestamps are nondecreasing —
-/// the zip fast path of the internal pass requires monotone read times.
-bool expand_batches(const std::vector<BatchRecord>& batches,
-                    std::size_t entry_count,
-                    std::vector<std::uint32_t>& batch_of,
-                    std::vector<TimeNs>& entry_ts) {
-  batch_of.assign(entry_count, kNoEntry);
-  entry_ts.assign(entry_count, 0);
-  std::uint32_t* bo = batch_of.data();
-  TimeNs* ets = entry_ts.data();
-  const BatchRecord* recs = batches.data();
-  const std::uint32_t nb = static_cast<std::uint32_t>(batches.size());
-  bool sorted = true;
-  TimeNs prev = std::numeric_limits<TimeNs>::min();
-  for (std::uint32_t b = 0; b < nb; ++b) {
-    const TimeNs ts = recs[b].ts;
-    const std::uint32_t begin = recs[b].begin;
-    const std::uint32_t count = recs[b].count;
-    sorted &= ts >= prev;
-    prev = ts;
-    if (count == 1) {  // the overwhelmingly common case on real traces
-      bo[begin] = b;
-      ets[begin] = ts;
-    } else {
-      for (std::uint32_t k = 0; k < count; ++k) {
-        bo[begin + k] = b;
-        ets[begin + k] = ts;
-      }
-    }
-  }
-  return sorted;
-}
-
-/// One packet stream between a (tx node, peer) pair as contiguous SoA
-/// lanes: tx entry index, tx batch timestamp, and IPID per packet, in
-/// FIFO order. Built once per tx node; the link pass (run by the
-/// downstream node) and the internal pass (run by the owner) each walk it
-/// through their own cursor, so the arrays stay immutable and the
-/// per-node shards cannot race.
+/// One outgoing packet stream of a (tx node, peer) pair: tx entry index,
+/// tx batch timestamp, and IPID per packet, in FIFO order, addressed by
+/// stream position. The link pass (run by the downstream node) and the
+/// internal pass (run by the owner) each walk it through their own cursor,
+/// so the per-node shards cannot race.
 ///
-/// A single-peer node with canonically tiled batches is a zero-copy view:
-/// `entries == nullptr` means the identity map (entry k is just k) and the
-/// ts/ipid lanes alias NodeAlignment::tx_entry_ts / NodeTrace::tx_ipids.
-/// Multi-peer (or non-canonical) nodes materialize per-peer copies into
-/// the *_store vectors.
-struct Stream {
+/// An identity stream — the only stream of a node whose batches tile its
+/// entry range exactly — stores nothing: position k is tx entry k and the
+/// ts/ipid lanes are NodeAlignment::tx_entry_ts / NodeTrace::tx_ipids.
+/// Otherwise positions [base, n) live in the *_store lanes.
+struct TxStream {
   NodeId up{kInvalidNode};    // tx-side owner
   NodeId peer{kInvalidNode};  // destination the entries were sent to
-  const std::uint32_t* entries{nullptr};
-  const TimeNs* ts{nullptr};
-  const std::uint16_t* ipids{nullptr};
+  bool identity{true};
+  bool sorted{true};  // ts nondecreasing over every position so far
+  TimeNs last_ts{std::numeric_limits<TimeNs>::min()};
   std::uint32_t n{0};
-  bool sorted{true};  // ts nondecreasing
+  std::uint32_t base{0};
   std::vector<std::uint32_t> entries_store;
   std::vector<TimeNs> ts_store;
   std::vector<std::uint16_t> ipids_store;
+  std::uint32_t link_head{0};
+  std::uint32_t int_head{0};
+  // Committed cursor values, restored by Aligner::rollback().
+  std::uint32_t link_head0{0};
+  std::uint32_t int_head0{0};
+
+  std::uint32_t entry(std::uint32_t p) const {
+    return identity ? p : entries_store[p - base];
+  }
+  TimeNs ts_at(std::uint32_t p, const NodeAlignment& a) const {
+    return identity ? a.tx_ts(p) : ts_store[p - base];
+  }
 };
-
-/// Build every outgoing stream of node `up`, keyed by peer in
-/// first-appearance order (the order the internal pass discovers
-/// destinations in), and expand the node's tx batch records into the
-/// per-entry SoA lanes of `a` in the same scan. The scan also discovers
-/// peers, counts, and whether the batches tile the entry range exactly;
-/// the single-peer canonical case then returns a zero-copy view,
-/// everything else materializes in a second scan. `slot` is
-/// caller-provided scratch (node-count sized, all -1) mapping
-/// peer -> stream index; it is restored before returning.
-std::vector<Stream> build_streams(const NodeTrace& t, NodeId up,
-                                  NodeAlignment& a,
-                                  std::vector<std::int32_t>& slot) {
-  std::vector<Stream> out;
-  const BatchRecord* recs = t.tx_batches.data();
-  const std::size_t nb = t.tx_batches.size();
-  const std::size_t entry_count = t.tx_ipids.size();
-
-  a.tx_batch_of.assign(entry_count, kNoEntry);
-  a.tx_entry_ts.assign(entry_count, 0);
-  std::uint32_t* bo = a.tx_batch_of.data();
-  TimeNs* ets = a.tx_entry_ts.data();
-
-  // Peer ids normally index the graph, but a trace may name peers outside
-  // it (e.g. an egress the graph does not model); those fall back to a
-  // linear search over the handful of streams.
-  auto slot_of = [&](NodeId peer) -> std::int32_t {
-    if (peer < slot.size()) return slot[peer];
-    for (std::size_t i = 0; i < out.size(); ++i)
-      if (out[i].peer == peer) return static_cast<std::int32_t>(i);
-    return -1;
-  };
-
-  bool tx_sorted = true;
-  bool canonical = true;
-  TimeNs prev = std::numeric_limits<TimeNs>::min();
-  std::uint32_t next = 0;
-  for (std::size_t b = 0; b < nb; ++b) {
-    const TimeNs ts = recs[b].ts;
-    const std::uint32_t begin = recs[b].begin;
-    const std::uint32_t count = recs[b].count;
-    const NodeId peer = recs[b].peer;
-    tx_sorted &= ts >= prev;
-    prev = ts;
-    if (count != 0) {
-      const std::uint32_t bi = static_cast<std::uint32_t>(b);
-      bo[begin] = bi;
-      ets[begin] = ts;
-      for (std::uint32_t k = 1; k < count; ++k) {
-        bo[begin + k] = bi;
-        ets[begin + k] = ts;
-      }
-    }
-    std::int32_t sl = slot_of(peer);
-    if (sl < 0) {
-      sl = static_cast<std::int32_t>(out.size());
-      if (peer < slot.size()) slot[peer] = sl;
-      Stream& s = out.emplace_back();
-      s.up = up;
-      s.peer = peer;
-    }
-    out[static_cast<std::size_t>(sl)].n += count;
-    canonical &= begin == next;
-    next += count;
-  }
-  canonical &= next == entry_count;
-
-  if (out.size() == 1 && canonical) {
-    Stream& s = out[0];
-    if (s.peer < slot.size()) slot[s.peer] = -1;
-    s.sorted = tx_sorted;
-    s.ts = a.tx_entry_ts.data();
-    s.ipids = t.tx_ipids.data();
-    return out;  // entries == nullptr: identity
-  }
-
-  // Materialize per-peer lanes. Raw write cursors per stream keep the
-  // inner loop at three stores for the dominant one-entry batches.
-  struct Fill {
-    std::uint32_t* e;
-    TimeNs* ts;
-    std::uint16_t* id;
-    TimeNs prev;
-  };
-  std::vector<Fill> fills(out.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    Stream& s = out[i];
-    s.entries_store.resize(s.n);
-    s.ts_store.resize(s.n);
-    s.ipids_store.resize(s.n);
-    fills[i] = Fill{s.entries_store.data(), s.ts_store.data(),
-                    s.ipids_store.data(), std::numeric_limits<TimeNs>::min()};
-  }
-  const std::uint16_t* ipids = t.tx_ipids.data();
-  for (std::size_t b = 0; b < nb; ++b) {
-    const BatchRecord& rec = recs[b];
-    const std::size_t sl = static_cast<std::size_t>(slot_of(rec.peer));
-    Fill& f = fills[sl];
-    if (rec.ts < f.prev) out[sl].sorted = false;
-    f.prev = rec.ts;
-    if (rec.count == 1) {
-      *f.e++ = rec.begin;
-      *f.ts++ = rec.ts;
-      *f.id++ = ipids[rec.begin];
-    } else {
-      for (std::uint32_t k = 0; k < rec.count; ++k) {
-        *f.e++ = rec.begin + k;
-        *f.ts++ = rec.ts;
-        *f.id++ = ipids[rec.begin + k];
-      }
-    }
-  }
-  for (Stream& s : out) {
-    if (s.peer < slot.size()) slot[s.peer] = -1;
-    s.entries = s.entries_store.data();
-    s.ts = s.ts_store.data();
-    s.ipids = s.ipids_store.data();
-  }
-  return out;
-}
 
 /// Flat per-pass cursor over one stream: the lane pointers, sizes, and
 /// consumption head in one cache line, so the hot loops never chase a
-/// Stream* indirection. `drop_flags` points at the upstream's
-/// tx_dropped_downstream lane (link pass only).
+/// TxStream* indirection. Positions are relative to the stream position
+/// the cursor started at. `drop_flags` / `read_by` point at the upstream's
+/// tx_dropped_downstream / tx_read_by lanes, indexed by entry - lane_base
+/// (link pass only).
 struct Ref {
   const std::uint16_t* ipids{nullptr};
   const TimeNs* ts{nullptr};
-  const std::uint32_t* entries{nullptr};  // nullptr: identity map
+  const std::uint32_t* entries{nullptr};  // nullptr: identity from entry0
   std::uint8_t* drop_flags{nullptr};
+  std::uint32_t* read_by{nullptr};
+  std::uint32_t lane_base{0};
+  std::uint32_t entry0{0};
   std::uint32_t head{0};
   std::uint32_t size{0};
   NodeId up{kInvalidNode};
@@ -255,18 +122,24 @@ struct Ref {
 
   bool exhausted() const { return head >= size; }
   std::uint32_t entry_at(std::uint32_t k) const {
-    return entries ? entries[k] : k;
+    return entries ? entries[k] : entry0 + k;
   }
   std::uint32_t head_entry() const { return entry_at(head); }
 };
 
-Ref make_ref(const Stream& s, std::uint8_t* drop_flags) {
+Ref make_ref(const TxStream& s, std::uint32_t from, const NodeAlignment& ua,
+             const NodeTrace& ut) {
   Ref r;
-  r.ipids = s.ipids;
-  r.ts = s.ts;
-  r.entries = s.entries;
-  r.drop_flags = drop_flags;
-  r.size = s.n;
+  if (s.identity) {
+    r.ipids = ut.tx_ipids.data() + (from - ut.tx_base);
+    r.ts = ua.tx_entry_ts.data() + (from - ua.tx_base);
+    r.entry0 = from;
+  } else {
+    r.ipids = s.ipids_store.data() + (from - s.base);
+    r.ts = s.ts_store.data() + (from - s.base);
+    r.entries = s.entries_store.data() + (from - s.base);
+  }
+  r.size = s.n - from;
   r.up = s.up;
   r.sorted = s.sorted ? 1 : 0;
   return r;
@@ -304,105 +177,438 @@ struct Heads {
 /// without the FIFO discipline consumes entries from the middle).
 struct OwnedLanes {
   NodeId up{kInvalidNode};
+  Ref src;
   std::vector<std::uint32_t> entries;
   std::vector<TimeNs> ts;
   std::vector<std::uint16_t> ipids;
 };
 
-OwnedLanes materialize(const Stream& s) {
+OwnedLanes materialize(const Ref& r) {
   OwnedLanes o;
-  o.up = s.up;
-  o.entries.resize(s.n);
-  if (s.entries) {
-    std::copy_n(s.entries, s.n, o.entries.begin());
-  } else {
-    for (std::uint32_t k = 0; k < s.n; ++k) o.entries[k] = k;
-  }
-  o.ts.assign(s.ts, s.ts + s.n);
-  o.ipids.assign(s.ipids, s.ipids + s.n);
+  o.up = r.up;
+  o.src = r;
+  o.entries.resize(r.size);
+  for (std::uint32_t k = 0; k < r.size; ++k) o.entries[k] = r.entry_at(k);
+  o.ts.assign(r.ts, r.ts + r.size);
+  o.ipids.assign(r.ipids, r.ipids + r.size);
   return o;
+}
+
+/// Advance batch cursor `b` (absolute; recs[0] is batch `batch_base`)
+/// past every batch recorded at or before `visible`, growing `entry_end`
+/// to cover their entries. `all_entries` is the trace's entry end, taken
+/// whole when everything is visible.
+void scan_visible(const BatchRecord* recs, std::uint32_t batch_base,
+                  std::uint32_t batch_end, std::uint32_t all_entries,
+                  TimeNs visible, std::uint32_t& b, std::uint32_t& entry_end) {
+  if (visible == kTimeNever) {
+    b = batch_end;
+    entry_end = std::max(entry_end, all_entries);
+    return;
+  }
+  for (; b < batch_end && recs[b - batch_base].ts <= visible; ++b) {
+    const BatchRecord& r = recs[b - batch_base];
+    entry_end = std::max(entry_end, r.begin + r.count);
+  }
+}
+
+/// Drop the first `count` elements of a lane.
+template <typename T>
+void erase_front(std::vector<T>& v, std::size_t count) {
+  v.erase(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(count));
 }
 
 }  // namespace
 
-std::vector<NodeAlignment> align_all(const collector::Collector& col,
-                                     const GraphView& graph,
-                                     const AlignOptions& opts,
-                                     AlignStats* stats,
-                                     ThreadPool* pool,
-                                     const ParallelOptions& par,
-                                     std::vector<NodeAlignment>* recycle) {
-  obs::TraceSpan span("trace", "align");
-  const std::size_t n = graph.node_count();
-  span.set_items(n);
-  // Reclaim the caller's previous window, if offered: every per-node lane
-  // below is (re)filled with assign(), so capacity carried over from the
-  // last window turns ~20MB of fresh page-faulted allocations per call
-  // into in-place writes. The contents of *recycle are irrelevant.
-  std::vector<NodeAlignment> out;
-  if (recycle != nullptr) out = std::move(*recycle);
-  out.resize(n);
-  // Per-node stat shards, merged in node-id order at the end.
-  std::vector<AlignStats> node_stats(n);
-  // Outgoing streams per node (grouped by peer) and whether the node's rx
-  // batch timestamps are nondecreasing.
-  std::vector<std::vector<Stream>> tx_streams(n);
-  std::vector<std::uint8_t> rx_sorted(n, 1);
+NodeTraces node_traces(const collector::Collector& col,
+                       std::size_t node_count) {
+  NodeTraces out(node_count, nullptr);
+  for (NodeId id = 0; id < node_count; ++id)
+    if (col.has_node(id)) out[id] = &col.node(id);
+  return out;
+}
 
-  // Pass 0: entry->batch maps, SoA timestamp lanes, outgoing streams, and
-  // downstream-drop flags.
-  auto pass0 = [&](NodeId id) {
-    if (graph.kinds[id] == NodeKind::kSink || !col.has_node(id)) {
-      // Recycled elements may carry a previous window's lanes; a skipped
-      // node must look freshly constructed (clear keeps capacity).
-      NodeAlignment& a = out[id];
-      a.rx_origin.clear();
-      a.rx_to_tx.clear();
-      a.tx_to_rx.clear();
-      a.tx_dropped_downstream.clear();
-      a.rx_batch_of.clear();
-      a.tx_batch_of.clear();
-      a.rx_entry_ts.clear();
-      a.tx_entry_ts.clear();
-      return;
+/// Per-node cursors and streams, persistent across calls.
+struct NodeCursor {
+  bool started{false};       // cursors adopted the records' front
+  std::uint32_t rx_seen{0};  // absolute rx batches expanded
+  std::uint32_t tx_seen{0};  // absolute tx batches expanded
+  std::uint32_t tx_next{0};  // entry a canonical next tx batch begins at
+  bool canonical{true};
+  bool rx_sorted{true};  // rx timestamps nondecreasing so far
+  TimeNs rx_last{std::numeric_limits<TimeNs>::min()};
+  std::uint32_t rx_done{0};  // rx entries aligned for good
+  std::uint32_t rx_from{0};  // the last call's rx range
+  std::uint32_t rx_to{0};
+  std::uint32_t rx_cut{0};  // eviction: first rx entry still live
+  std::uint32_t tx_cut{0};  // eviction: first tx entry still live
+  std::vector<TxStream> streams;  // outgoing, first-appearance order
+  std::vector<TxRef> drops;       // flagged by the last call
+  AlignStats stats;               // the last call's
+};
+
+struct Aligner::State {
+  std::vector<NodeCursor> nodes;
+  bool speculating{false};
+};
+
+Aligner::Aligner(std::shared_ptr<const GraphView> graph, AlignOptions opts)
+    : graph_(std::move(graph)),
+      opts_(opts),
+      out_(graph_->node_count()),
+      st_(std::make_unique<State>()) {
+  st_->nodes.resize(graph_->node_count());
+}
+
+Aligner::~Aligner() = default;
+Aligner::Aligner(Aligner&&) noexcept = default;
+Aligner& Aligner::operator=(Aligner&&) noexcept = default;
+
+std::uint32_t Aligner::rx_begin(NodeId d) const { return st_->nodes[d].rx_from; }
+std::uint32_t Aligner::rx_done(NodeId d) const { return st_->nodes[d].rx_to; }
+
+std::vector<TxRef> Aligner::new_drops() const {
+  std::vector<TxRef> out;
+  for (const NodeCursor& c : st_->nodes)
+    out.insert(out.end(), c.drops.begin(), c.drops.end());
+  return out;
+}
+
+void Aligner::extend(const NodeTraces& recs, TimeNs settle, TimeNs visible,
+                     ThreadPool* pool, const ParallelOptions& par) {
+  rollback();
+  run(recs, settle, visible, false, pool, par);
+}
+
+void Aligner::speculate(const NodeTraces& recs, TimeNs until,
+                        ThreadPool* pool, const ParallelOptions& par) {
+  rollback();
+  for (NodeCursor& c : st_->nodes) {
+    for (TxStream& s : c.streams) {
+      s.link_head0 = s.link_head;
+      s.int_head0 = s.int_head;
     }
-    const NodeTrace& t = col.node(id);
-    NodeAlignment& a = out[id];
-    rx_sorted[id] = expand_batches(t.rx_batches, t.rx_ipids.size(),
-                                   a.rx_batch_of, a.rx_entry_ts)
-                        ? 1
-                        : 0;
-    a.tx_dropped_downstream.assign(t.tx_ipids.size(), 0);
-    a.rx_origin.assign(t.rx_ipids.size(), TxRef{});
-    a.rx_to_tx.assign(t.rx_ipids.size(), kNoEntry);
-    a.tx_to_rx.assign(t.tx_ipids.size(), kNoEntry);
-    std::vector<std::int32_t> slot(n, -1);
-    tx_streams[id] = build_streams(t, id, a, slot);
+  }
+  st_->speculating = true;
+  // Everything visible is aligned: until + 1 settles entries read at
+  // `until` itself.
+  run(recs, until == kTimeNever ? until : until + 1, until, true, pool, par);
+}
+
+void Aligner::rollback() {
+  if (!st_->speculating) return;
+  st_->speculating = false;
+  for (NodeId id = 0; id < st_->nodes.size(); ++id) {
+    NodeCursor& c = st_->nodes[id];
+    c.drops.clear();
+    NodeAlignment& a = out_[id];
+    for (std::uint32_t j = c.rx_done; j < c.rx_to; ++j) {
+      a.rx_origin[j - a.rx_base] = TxRef{};
+      a.rx_to_tx[j - a.rx_base] = kNoEntry;
+    }
+    c.rx_from = c.rx_to = c.rx_done;
+    for (TxStream& s : c.streams) {
+      for (std::uint32_t p = s.link_head0; p < s.link_head; ++p) {
+        const std::uint32_t e = s.entry(p) - a.tx_base;
+        a.tx_dropped_downstream[e] = 0;
+        a.tx_read_by[e] = kNoEntry;
+      }
+      for (std::uint32_t p = s.int_head0; p < s.int_head; ++p)
+        a.tx_to_rx[s.entry(p) - a.tx_base] = kNoEntry;
+      s.link_head = s.link_head0;
+      s.int_head = s.int_head0;
+    }
+  }
+}
+
+void Aligner::run(const NodeTraces& recs, TimeNs settle, TimeNs visible,
+                  bool spec, ThreadPool* pool, const ParallelOptions& par) {
+  obs::TraceSpan span("trace", "align");
+  const std::size_t n = graph_->node_count();
+  span.set_items(n);
+  const AlignOptions& opts = opts_;
+  std::vector<NodeCursor>& cur_of = st_->nodes;
+  const auto has = [&](NodeId id) {
+    return id < recs.size() && recs[id] != nullptr;
+  };
+
+  // Pass 0: expand records written at or before `visible` into the
+  // entry->batch maps, SoA timestamp lanes, and outgoing streams; pick the
+  // rx range this call aligns.
+  auto pass0 = [&](NodeId id) {
+    NodeCursor& c = cur_of[id];
+    c.drops.clear();
+    c.stats = AlignStats{};
+    c.rx_from = c.rx_to = c.rx_done;
+    if (graph_->kinds[id] == NodeKind::kSink || !has(id)) return;
+    const NodeTrace& t = *recs[id];
+    NodeAlignment& a = out_[id];
+    // A node's first records need not have index 0 (a streaming store
+    // numbers from its last renumbering): start every cursor there.
+    if (!c.started) {
+      c.started = true;
+      a.rx_base = c.rx_done = c.rx_from = c.rx_to = c.rx_cut = t.rx_base;
+      a.tx_base = c.tx_next = c.tx_cut = t.tx_base;
+      c.rx_seen = t.rx_batch_base;
+      c.tx_seen = t.tx_batch_base;
+    }
+
+    // rx side.
+    {
+      const BatchRecord* brec = t.rx_batches.data();
+      const std::uint32_t bbase = t.rx_batch_base;
+      const std::uint32_t rx_base = a.rx_base;
+      std::uint32_t b = c.rx_seen;
+      std::uint32_t new_end = a.rx_end();
+      scan_visible(brec, bbase, t.rx_batch_end(),
+                   t.rx_base + static_cast<std::uint32_t>(t.rx_ipids.size()),
+                   visible, b, new_end);
+      const std::size_t sz = new_end - rx_base;
+      a.rx_batch_of.resize(sz, kNoEntry);
+      a.rx_entry_ts.resize(sz, 0);
+      a.rx_origin.resize(sz, TxRef{});
+      a.rx_to_tx.resize(sz, kNoEntry);
+      std::uint32_t* bo = a.rx_batch_of.data();
+      TimeNs* ets = a.rx_entry_ts.data();
+      bool sorted = c.rx_sorted;
+      TimeNs prev = c.rx_last;
+      for (std::uint32_t k = c.rx_seen; k < b; ++k) {
+        const BatchRecord& r = brec[k - bbase];
+        const TimeNs ts = r.ts;
+        sorted &= ts >= prev;
+        prev = ts;
+        const std::uint32_t at = r.begin - rx_base;
+        if (r.count == 1) {  // the overwhelmingly common case on real traces
+          bo[at] = k;
+          ets[at] = ts;
+        } else {
+          for (std::uint32_t i = 0; i < r.count; ++i) {
+            bo[at + i] = k;
+            ets[at + i] = ts;
+          }
+        }
+      }
+      c.rx_sorted = sorted;
+      c.rx_last = prev;
+      c.rx_seen = b;
+    }
+
+    // tx side: lanes plus streams keyed by peer in first-appearance order
+    // (the order the internal pass discovers destinations in).
+    {
+      const BatchRecord* brec = t.tx_batches.data();
+      const std::uint32_t bbase = t.tx_batch_base;
+      const std::uint32_t tx_base = a.tx_base;
+      std::uint32_t b = c.tx_seen;
+      std::uint32_t new_end = a.tx_end();
+      scan_visible(brec, bbase, t.tx_batch_end(),
+                   t.tx_base + static_cast<std::uint32_t>(t.tx_ipids.size()),
+                   visible, b, new_end);
+      const std::uint32_t b0 = c.tx_seen;
+      if (b == b0) return;
+      const std::size_t sz = new_end - a.tx_base;
+      a.tx_batch_of.resize(sz, kNoEntry);
+      a.tx_entry_ts.resize(sz, 0);
+      a.tx_to_rx.resize(sz, kNoEntry);
+      a.tx_dropped_downstream.resize(sz, 0);
+      a.tx_read_by.resize(sz, kNoEntry);
+      std::uint32_t* bo = a.tx_batch_of.data();
+      TimeNs* ets = a.tx_entry_ts.data();
+
+      // Peer ids normally index the graph, but a trace may name peers
+      // outside it (e.g. an egress the graph does not model); a linear
+      // search over the handful of streams covers both.
+      std::uint32_t tx_next = c.tx_next;
+      bool canonical = c.canonical;
+      std::size_t last = 0;
+      auto slot_of = [&](NodeId peer) -> std::size_t {
+        if (last < c.streams.size() && c.streams[last].peer == peer)
+          return last;
+        for (std::size_t i = 0; i < c.streams.size(); ++i)
+          if (c.streams[i].peer == peer) return last = i;
+        TxStream& s = c.streams.emplace_back();
+        s.up = id;
+        s.peer = peer;
+        // Only a node's first stream can be an identity view.
+        s.identity = c.streams.size() == 1 && canonical;
+        if (s.identity) {
+          s.n = s.link_head = s.int_head = s.link_head0 = s.int_head0 =
+              tx_next;
+        }
+        return last = c.streams.size() - 1;
+      };
+
+      // Scan 1: entry lanes, stream discovery, per-stream counts, and the
+      // canonical layout check.
+      std::vector<std::uint32_t> added(c.streams.size(), 0);
+      bool sorted = true;
+      TimeNs prev = c.streams.empty() ? std::numeric_limits<TimeNs>::min()
+                                      : c.streams.front().last_ts;
+      for (std::uint32_t k = b0; k < b; ++k) {
+        const BatchRecord& r = brec[k - bbase];
+        const TimeNs ts = r.ts;
+        if (r.count != 0) {
+          const std::uint32_t at = r.begin - tx_base;
+          bo[at] = k;
+          ets[at] = ts;
+          for (std::uint32_t i = 1; i < r.count; ++i) {
+            bo[at + i] = k;
+            ets[at + i] = ts;
+          }
+        }
+        sorted &= ts >= prev;
+        prev = ts;
+        const std::size_t sl = slot_of(r.peer);
+        if (sl >= added.size()) added.resize(sl + 1, 0);
+        added[sl] += r.count;
+        canonical &= r.begin == tx_next && c.streams.size() == 1;
+        tx_next = r.begin + r.count;
+      }
+      c.canonical = canonical;
+      c.tx_next = tx_next;
+
+      // The canonical single-peer layout: the identity view just grows.
+      if (canonical) {
+        TxStream& s = c.streams.front();
+        s.sorted &= sorted;
+        s.last_ts = prev;
+        s.n = tx_next;
+        c.tx_seen = b;
+        return;
+      }
+
+      // An identity stream that stopped being one (a second peer or a gap
+      // in the layout) materializes its live positions once.
+      TxStream& first = c.streams.front();
+      if (first.identity && !canonical) {
+        const std::uint32_t lo = std::min(first.link_head, first.int_head);
+        first.identity = false;
+        first.base = lo;
+        for (std::uint32_t p = lo; p < first.n; ++p) {
+          first.entries_store.push_back(p);
+          first.ts_store.push_back(a.tx_ts(p));
+          first.ipids_store.push_back(t.tx_ipid(p));
+        }
+      }
+
+      // Scan 2: append positions to each stream. Raw write cursors per
+      // stream keep the inner loop at three stores for the dominant
+      // one-entry batches.
+      struct Fill {
+        std::uint32_t* e;
+        TimeNs* ts;
+        std::uint16_t* id;
+      };
+      std::vector<Fill> fills(c.streams.size());
+      for (std::size_t i = 0; i < c.streams.size(); ++i) {
+        TxStream& s = c.streams[i];
+        if (s.identity) continue;
+        const std::size_t at = s.entries_store.size();
+        s.entries_store.resize(at + added[i]);
+        s.ts_store.resize(at + added[i]);
+        s.ipids_store.resize(at + added[i]);
+        fills[i] = Fill{s.entries_store.data() + at, s.ts_store.data() + at,
+                        s.ipids_store.data() + at};
+        s.n += added[i];
+      }
+      const std::uint16_t* ipids = t.tx_ipids.data();
+      const std::uint32_t ipid_base = t.tx_base;
+      last = 0;
+      for (std::uint32_t k = b0; k < b; ++k) {
+        const BatchRecord& r = brec[k - bbase];
+        const std::size_t sl = slot_of(r.peer);
+        TxStream& s = c.streams[sl];
+        if (r.ts < s.last_ts) s.sorted = false;
+        s.last_ts = r.ts;
+        if (s.identity) {
+          s.n = r.begin + r.count;
+          continue;
+        }
+        Fill& f = fills[sl];
+        const std::uint32_t at = r.begin - ipid_base;
+        if (r.count == 1) {
+          *f.e++ = r.begin;
+          *f.ts++ = r.ts;
+          *f.id++ = ipids[at];
+        } else {
+          for (std::uint32_t i = 0; i < r.count; ++i) {
+            *f.e++ = r.begin + i;
+            *f.ts++ = r.ts;
+            *f.id++ = ipids[at + i];
+          }
+        }
+      }
+      c.tx_seen = b;
+    }
+  };
+
+  // The rx entries of d this call aligns: from the committed cursor up to
+  // the first entry read at or after `settle`.
+  auto pick_range = [&](NodeId d) {
+    NodeCursor& c = cur_of[d];
+    const NodeAlignment& a = out_[d];
+    std::uint32_t j = c.rx_done;
+    const std::uint32_t end = a.rx_end();
+    while (j < end && a.rx_ts(j) < settle) ++j;
+    c.rx_to = j;
   };
 
   // Pass 1: link alignment (downstream rx entries <- upstream tx streams).
-  // Writes land only on out[d] and on out[u].tx_dropped_downstream
-  // elements whose batch peer is d — owned by this node, so per-node
-  // sharding is race-free.
-  auto pass1 = [&](NodeId d, AlignStats& local) {
-    if (graph.kinds[d] != NodeKind::kNf || !col.has_node(d)) return;
-    const NodeTrace& dt = col.node(d);
-    NodeAlignment& da = out[d];
+  // Writes land only on out[d], on d's cursor over each upstream stream
+  // headed to d, and on out[u] tx lane elements of those streams — owned
+  // by this node, so per-node sharding is race-free.
+  auto pass1 = [&](NodeId d) {
+    if (graph_->kinds[d] != NodeKind::kNf || !has(d)) return;
+    NodeCursor& dc = cur_of[d];
+    pick_range(d);
+    AlignStats& local = dc.stats;
+    const NodeTrace& dt = *recs[d];
+    NodeAlignment& da = out_[d];
 
-    const std::uint32_t n_rx = static_cast<std::uint32_t>(dt.rx_ipids.size());
-    const std::uint16_t* rx_ipid = dt.rx_ipids.data();
-    const TimeNs* rx_ts = da.rx_entry_ts.data();
+    const std::uint32_t j0 = dc.rx_from;
+    const std::uint32_t n_rx = dc.rx_to - j0;
+    const std::uint16_t* rx_ipid = dt.rx_ipids.data() + (j0 - dt.rx_base);
+    const TimeNs* rx_ts = da.rx_entry_ts.data() + (j0 - da.rx_base);
+    TxRef* origin = da.rx_origin.data() + (j0 - da.rx_base);
+
+    // Cursors over the upstream streams headed here, in graph order. An
+    // upstream that never sent to d contributes no stream — an empty
+    // stream can never be a candidate, so skipping it is equivalent.
+    std::vector<Ref> cur;
+    std::vector<TxStream*> owners;
+    for (NodeId u : graph_->upstreams[d]) {
+      if (!has(u)) continue;
+      for (TxStream& s : cur_of[u].streams) {
+        if (s.peer != d) continue;
+        Ref r = make_ref(s, s.link_head, out_[u], *recs[u]);
+        r.drop_flags = out_[u].tx_dropped_downstream.data();
+        r.read_by = out_[u].tx_read_by.data();
+        r.lane_base = out_[u].tx_base;
+        cur.push_back(r);
+        owners.push_back(&s);
+      }
+    }
+    Ref* refs = cur.data();
+    const std::size_t S = cur.size();
+
+    auto consume = [&](Ref& st, std::uint32_t k, std::uint32_t j) {
+      const std::uint32_t e = st.entry_at(k);
+      origin[j] = TxRef{st.up, e};
+      st.read_by[e - st.lane_base] = j0 + j;
+    };
+    auto flag_drop = [&](Ref& st, std::uint32_t k) {
+      const std::uint32_t e = st.entry_at(k);
+      st.drop_flags[e - st.lane_base] = 1;
+      dc.drops.push_back(TxRef{st.up, e});
+      ++local.queue_drops_inferred;
+    };
 
     // The no-order ablation consumes entries from the middle of a stream,
     // so it runs on private erasable copies; everything below it shares
     // none of the fast-path machinery.
     if (!opts.use_order) {
       std::vector<OwnedLanes> own;
-      for (NodeId u : graph.upstreams[d]) {
-        if (!col.has_node(u)) continue;
-        for (const Stream& s : tx_streams[u])
-          if (s.peer == d) own.push_back(materialize(s));
-      }
+      for (const Ref& r : cur) own.push_back(materialize(r));
       for (std::uint32_t j = 0; j < n_rx; ++j) {
         const std::uint16_t ipid = rx_ipid[j];
         const TimeNs read_ts = rx_ts[j];
@@ -435,7 +641,9 @@ std::vector<NodeAlignment> align_all(const collector::Collector& col,
           // skips; just consume the matched entry.
           OwnedLanes& o = own[static_cast<std::size_t>(best)];
           if (candidates > 1) ++local.link_ambiguous;
-          da.rx_origin[j] = TxRef{o.up, o.entries[best_pos]};
+          const std::uint32_t e = o.entries[best_pos];
+          origin[j] = TxRef{o.up, e};
+          o.src.read_by[e - o.src.lane_base] = j0 + j;
           const auto at = static_cast<std::ptrdiff_t>(best_pos);
           o.entries.erase(o.entries.begin() + at);
           o.ts.erase(o.ts.begin() + at);
@@ -452,26 +660,16 @@ std::vector<NodeAlignment> align_all(const collector::Collector& col,
       for (const OwnedLanes& o : own) {
         for (std::size_t k = 0; k < o.entries.size(); ++k) {
           if (last_read - o.ts[k] > opts.max_link_delay) {
-            out[o.up].tx_dropped_downstream[o.entries[k]] = 1;
+            const std::uint32_t e = o.entries[k];
+            o.src.drop_flags[e - o.src.lane_base] = 1;
+            dc.drops.push_back(TxRef{o.up, e});
             ++local.queue_drops_inferred;
           }
         }
       }
+      for (TxStream* s : owners) s->link_head = s->n;
       return;
     }
-
-    // Cursors over the upstream streams headed here, in graph order. An
-    // upstream that never sent to d contributes no stream — an empty
-    // stream can never be a candidate, so skipping it is equivalent.
-    std::vector<Ref> cur;
-    for (NodeId u : graph.upstreams[d]) {
-      if (!col.has_node(u)) continue;
-      for (const Stream& s : tx_streams[u])
-        if (s.peer == d)
-          cur.push_back(make_ref(s, out[u].tx_dropped_downstream.data()));
-    }
-    Ref* refs = cur.data();
-    const std::size_t S = cur.size();
 
     // No head-of-line candidate for entry j: per-link FIFO means that if
     // this rx entry matches a *later* entry of some stream, every entry
@@ -524,12 +722,9 @@ std::vector<NodeAlignment> align_all(const collector::Collector& col,
       }
       if (best_stream < S) {
         Ref& st = refs[best_stream];
-        for (std::size_t k = st.head; k < best_pos; ++k) {
-          st.drop_flags[st.entry_at(static_cast<std::uint32_t>(k))] = 1;
-          ++local.queue_drops_inferred;
-        }
-        da.rx_origin[j] =
-            TxRef{st.up, st.entry_at(static_cast<std::uint32_t>(best_pos))};
+        for (std::size_t k = st.head; k < best_pos; ++k)
+          flag_drop(st, static_cast<std::uint32_t>(k));
+        consume(st, static_cast<std::uint32_t>(best_pos), j);
         st.head = static_cast<std::uint32_t>(best_pos) + 1;
         ++local.link_matched;
         ++local.link_ambiguous;  // resolved beyond head-of-line
@@ -571,16 +766,8 @@ std::vector<NodeAlignment> align_all(const collector::Collector& col,
               }
             }
             if (clean) {
-              const NodeId up = ac.up;
-              if (ac.entries) {
-                const std::uint32_t* ent = ac.entries + ac.head;
-                for (std::size_t k = 0; k < simd::kLanes; ++k)
-                  da.rx_origin[j + k] = TxRef{up, ent[k]};
-              } else {
-                for (std::size_t k = 0; k < simd::kLanes; ++k)
-                  da.rx_origin[j + k] =
-                      TxRef{up, ac.head + static_cast<std::uint32_t>(k)};
-              }
+              for (std::uint32_t k = 0; k < simd::kLanes; ++k)
+                consume(ac, ac.head + k, j + k);
               ac.head += simd::kLanes;
               h.refresh(refs, active);
               local.link_matched += simd::kLanes;
@@ -617,7 +804,7 @@ std::vector<NodeAlignment> align_all(const collector::Collector& col,
         if (best >= 0) {
           if (candidates > 1) ++local.link_ambiguous;
           Ref& st = refs[static_cast<std::size_t>(best)];
-          da.rx_origin[j] = TxRef{st.up, st.head_entry()};
+          consume(st, st.head, j);
           ++st.head;
           h.refresh(refs, static_cast<std::size_t>(best));
           ++local.link_matched;
@@ -667,7 +854,7 @@ std::vector<NodeAlignment> align_all(const collector::Collector& col,
         if (best >= 0) {
           if (candidates > 1) ++local.link_ambiguous;
           Ref& st = refs[static_cast<std::size_t>(best)];
-          da.rx_origin[j] = TxRef{st.up, st.head_entry()};
+          consume(st, st.head, j);
           ++st.head;
           ++local.link_matched;
           continue;
@@ -680,46 +867,39 @@ std::vector<NodeAlignment> align_all(const collector::Collector& col,
         scan_ahead(j, ipid, read_ts);
       }
     }
-
-    // Remaining unconsumed upstream entries: dropped if their deadline has
-    // passed relative to the node's last read (otherwise still in flight).
-    const TimeNs last_read =
-        dt.rx_batches.empty() ? 0 : dt.rx_batches.back().ts;
-    for (std::size_t s = 0; s < S; ++s) {
-      Ref& st = refs[s];
-      for (; st.head < st.size; ++st.head) {
-        if (last_read - st.ts[st.head] > opts.max_link_delay) {
-          st.drop_flags[st.head_entry()] = 1;
-          ++local.queue_drops_inferred;
-        }
-      }
-    }
+    for (std::size_t s = 0; s < S; ++s) owners[s]->link_head += refs[s].head;
   };
 
   // Pass 2: internal alignment (rx entries -> this node's tx streams).
-  auto pass2 = [&](NodeId d, AlignStats& local) {
-    if (graph.kinds[d] != NodeKind::kNf || !col.has_node(d)) return;
-    const NodeTrace& dt = col.node(d);
-    NodeAlignment& da = out[d];
+  auto pass2 = [&](NodeId d) {
+    if (graph_->kinds[d] != NodeKind::kNf || !has(d)) return;
+    NodeCursor& dc = cur_of[d];
+    AlignStats& local = dc.stats;
+    const NodeTrace& dt = *recs[d];
+    NodeAlignment& da = out_[d];
 
-    // Output streams keyed by destination in first-appearance order —
-    // exactly how tx_streams[d] was built. The link pass walks the same
-    // arrays through its own cursors, so they are still pristine here.
+    // Output streams keyed by destination in first-appearance order, each
+    // walked through the internal cursor.
     std::vector<Ref> cur;
-    cur.reserve(tx_streams[d].size());
-    for (const Stream& s : tx_streams[d]) cur.push_back(make_ref(s, nullptr));
+    cur.reserve(dc.streams.size());
+    for (const TxStream& s : dc.streams)
+      cur.push_back(make_ref(s, s.int_head, da, dt));
     Ref* refs = cur.data();
 
-    const std::uint32_t n_rx = static_cast<std::uint32_t>(dt.rx_ipids.size());
-    const std::uint16_t* rx_ipid = dt.rx_ipids.data();
-    const TimeNs* rx_ts = da.rx_entry_ts.data();
+    const std::uint32_t i0 = dc.rx_from;
+    const std::uint32_t n_rx = dc.rx_to - i0;
+    const std::uint16_t* rx_ipid = dt.rx_ipids.data() + (i0 - dt.rx_base);
+    const TimeNs* rx_ts = da.rx_entry_ts.data() + (i0 - da.rx_base);
+    std::uint32_t* rx_to_tx = da.rx_to_tx.data() + (i0 - da.rx_base);
+    std::uint32_t* tx_to_rx = da.tx_to_rx.data();
+    const std::uint32_t tx_base = da.tx_base;
     const std::size_t S = cur.size();
 
     auto apply_match = [&](std::uint32_t i, std::size_t s) {
       Ref& st = refs[s];
       const std::uint32_t e = st.head_entry();
-      da.rx_to_tx[i] = e;
-      da.tx_to_rx[e] = i;
+      rx_to_tx[i] = e;
+      tx_to_rx[e - tx_base] = i0 + i;
       ++st.head;
       ++local.internal_matched;
     };
@@ -727,9 +907,9 @@ std::vector<NodeAlignment> align_all(const collector::Collector& col,
     // Expired head entries (tx earlier than any remaining read can
     // explain) are permanently unclaimable: per-node reads are
     // time-ordered, so read_ts only grows. They occur when the tx entry's
-    // rx record is missing — a partial trace (e.g. a streamed time slice)
-    // or a lost record — and leaving one at the head would wedge the whole
-    // output stream into policy drops.
+    // rx record is missing — a partial trace (e.g. an evicted stream
+    // prefix) or a lost record — and leaving one at the head would wedge
+    // the whole output stream into policy drops.
     auto advance_expired = [&](std::size_t s, TimeNs read_ts) {
       Ref& st = refs[s];
       while (st.head < st.size && st.ts[st.head] + opts.slack < read_ts) {
@@ -743,7 +923,7 @@ std::vector<NodeAlignment> align_all(const collector::Collector& col,
       h.init(refs, S);
       // The zip block needs monotone read timestamps (its no-expiry guard
       // is evaluated at the block's last read time).
-      const bool zip_ok = rx_sorted[d] != 0;
+      const bool zip_ok = dc.rx_sorted;
       std::size_t active = 0;
       std::uint32_t run = kZipMinRun;
       std::uint32_t i = 0;
@@ -775,20 +955,10 @@ std::vector<NodeAlignment> align_all(const collector::Collector& col,
               }
             }
             if (clean) {
-              if (ac.entries) {
-                const std::uint32_t* ent = ac.entries + ac.head;
-                for (std::size_t k = 0; k < simd::kLanes; ++k) {
-                  const std::uint32_t e = ent[k];
-                  da.rx_to_tx[i + k] = e;
-                  da.tx_to_rx[e] = i + static_cast<std::uint32_t>(k);
-                }
-              } else {
-                for (std::size_t k = 0; k < simd::kLanes; ++k) {
-                  const std::uint32_t e =
-                      ac.head + static_cast<std::uint32_t>(k);
-                  da.rx_to_tx[i + k] = e;
-                  da.tx_to_rx[e] = i + static_cast<std::uint32_t>(k);
-                }
+              for (std::uint32_t k = 0; k < simd::kLanes; ++k) {
+                const std::uint32_t e = ac.entry_at(ac.head + k);
+                rx_to_tx[i + k] = e;
+                tx_to_rx[e - tx_base] = i0 + i + k;
               }
               ac.head += simd::kLanes;
               h.refresh(refs, active);
@@ -867,6 +1037,8 @@ std::vector<NodeAlignment> align_all(const collector::Collector& col,
         }
       }
     }
+    for (std::size_t s = 0; s < S; ++s) dc.streams[s].int_head += refs[s].head;
+    if (!spec) dc.rx_done = dc.rx_to;
   };
 
   // Pass barriers: pass 1 reads pass 0's stream arrays and timestamp
@@ -874,36 +1046,31 @@ std::vector<NodeAlignment> align_all(const collector::Collector& col,
   // through private cursors).
   obs::Registry& reg = obs::Registry::global();
   const std::size_t grain = chunk_grain(par, n);
-  {
-    obs::ScopedTimer t(reg.histogram("trace.align.prepare_ns"));
+  auto over_nodes = [&](auto&& body) {
     parallel_for_over(pool, n,
                       [&](std::size_t b, std::size_t e) {
                         for (std::size_t id = b; id < e; ++id)
-                          pass0(static_cast<NodeId>(id));
+                          body(static_cast<NodeId>(id));
                       },
                       grain);
+  };
+  {
+    obs::ScopedTimer t(reg.histogram("trace.align.prepare_ns"));
+    over_nodes(pass0);
   }
   {
     obs::ScopedTimer t(reg.histogram("trace.align.link_pass_ns"));
-    parallel_for_over(pool, n,
-                      [&](std::size_t b, std::size_t e) {
-                        for (std::size_t id = b; id < e; ++id)
-                          pass1(static_cast<NodeId>(id), node_stats[id]);
-                      },
-                      grain);
+    over_nodes(pass1);
   }
   {
     obs::ScopedTimer t(reg.histogram("trace.align.internal_pass_ns"));
-    parallel_for_over(pool, n,
-                      [&](std::size_t b, std::size_t e) {
-                        for (std::size_t id = b; id < e; ++id)
-                          pass2(static_cast<NodeId>(id), node_stats[id]);
-                      },
-                      grain);
+    over_nodes(pass2);
   }
 
+  if (spec) return;  // speculative work is redone for good later
   AlignStats total;
-  for (const AlignStats& s : node_stats) total += s;
+  for (const NodeCursor& c : cur_of) total += c.stats;
+  stats_ += total;
   // Registry mirror of AlignStats: link_ambiguous doubles as the
   // IPID-collision resolution count (matches that needed the order/time
   // side channels to disambiguate).
@@ -917,8 +1084,108 @@ std::vector<NodeAlignment> align_all(const collector::Collector& col,
   reg.counter("trace.align.internal_expired").add(total.internal_expired);
   reg.counter("trace.align.policy_drops_inferred")
       .add(total.policy_drops_inferred);
-  if (stats) *stats = total;
-  return out;
+}
+
+void Aligner::finish(const NodeTraces& recs) {
+  rollback();
+  std::uint64_t flagged = 0;
+  for (NodeId d = 0; d < graph_->node_count(); ++d) {
+    NodeCursor& dc = st_->nodes[d];
+    dc.drops.clear();
+    if (graph_->kinds[d] != NodeKind::kNf || d >= recs.size() || !recs[d])
+      continue;
+    // Remaining unconsumed upstream entries: dropped if their deadline has
+    // passed relative to the node's last read (otherwise still in flight).
+    const NodeTrace& dt = *recs[d];
+    const TimeNs last_read =
+        dt.rx_batches.empty() ? 0 : dt.rx_batches.back().ts;
+    for (NodeId u : graph_->upstreams[d]) {
+      if (u >= recs.size() || !recs[u]) continue;
+      NodeAlignment& ua = out_[u];
+      for (TxStream& s : st_->nodes[u].streams) {
+        if (s.peer != d) continue;
+        for (; s.link_head < s.n; ++s.link_head) {
+          if (last_read - s.ts_at(s.link_head, ua) > opts_.max_link_delay) {
+            const std::uint32_t e = s.entry(s.link_head);
+            ua.tx_dropped_downstream[e - ua.tx_base] = 1;
+            dc.drops.push_back(TxRef{u, e});
+            ++flagged;
+          }
+        }
+      }
+    }
+  }
+  stats_.queue_drops_inferred += flagged;
+  obs::Registry::global()
+      .counter("trace.align.queue_drops_inferred")
+      .add(flagged);
+}
+
+void Aligner::evict_before(TimeNs horizon) {
+  rollback();
+  for (NodeId id = 0; id < st_->nodes.size(); ++id) {
+    NodeCursor& c = st_->nodes[id];
+    NodeAlignment& a = out_[id];
+    c.drops.clear();
+    while (c.rx_cut < c.rx_done && a.rx_ts(c.rx_cut) < horizon) ++c.rx_cut;
+    while (c.tx_cut < a.tx_end() && a.tx_ts(c.tx_cut) < horizon) ++c.tx_cut;
+    for (TxStream& s : c.streams) {
+      auto past_cut = [&](std::uint32_t& head) {
+        if (s.identity) {
+          head = std::max(head, std::min(c.tx_cut, s.n));
+        } else {
+          while (head < s.n && s.entry(head) < c.tx_cut) ++head;
+        }
+      };
+      past_cut(s.link_head);
+      past_cut(s.int_head);
+      s.link_head0 = s.link_head;
+      s.int_head0 = s.int_head;
+      if (!s.identity) {
+        const std::uint32_t lo = std::min(s.link_head, s.int_head);
+        if (lo - s.base > s.n - lo) {
+          erase_front(s.entries_store, lo - s.base);
+          erase_front(s.ts_store, lo - s.base);
+          erase_front(s.ipids_store, lo - s.base);
+          s.base = lo;
+        }
+      }
+    }
+    if (c.rx_cut - a.rx_base > a.rx_end() - c.rx_cut) {
+      const std::size_t k = c.rx_cut - a.rx_base;
+      erase_front(a.rx_origin, k);
+      erase_front(a.rx_to_tx, k);
+      erase_front(a.rx_batch_of, k);
+      erase_front(a.rx_entry_ts, k);
+      a.rx_base = c.rx_cut;
+    }
+    // Identity streams read the tx lanes from their cursors on.
+    std::uint32_t tx_lo = c.tx_cut;
+    for (const TxStream& s : c.streams)
+      if (s.identity) tx_lo = std::min({tx_lo, s.link_head, s.int_head});
+    if (tx_lo - a.tx_base > a.tx_end() - tx_lo) {
+      const std::size_t k = tx_lo - a.tx_base;
+      erase_front(a.tx_to_rx, k);
+      erase_front(a.tx_dropped_downstream, k);
+      erase_front(a.tx_read_by, k);
+      erase_front(a.tx_batch_of, k);
+      erase_front(a.tx_entry_ts, k);
+      a.tx_base = tx_lo;
+    }
+  }
+}
+
+std::vector<NodeAlignment> align_all(const collector::Collector& col,
+                                     const GraphView& graph,
+                                     const AlignOptions& opts,
+                                     AlignStats* stats, ThreadPool* pool,
+                                     const ParallelOptions& par) {
+  Aligner al(std::make_shared<const GraphView>(graph), opts);
+  const NodeTraces recs = node_traces(col, graph.node_count());
+  al.extend(recs, kTimeNever, kTimeNever, pool, par);
+  al.finish(recs);
+  if (stats) *stats = al.stats();
+  return al.alignments();
 }
 
 }  // namespace microscope::trace

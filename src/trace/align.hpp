@@ -17,10 +17,17 @@
 //    become after processing? NFs are FIFO run-to-completion, so the rx
 //    sequence maps order-preservingly onto the per-destination tx streams;
 //    rx entries that match no stream were dropped by NF policy.
+//
+// Both passes walk each node's rx entries in record order against cursors
+// over the upstream/outgoing FIFO streams, so they are naturally streaming:
+// an Aligner keeps the cursors between calls and each extend() aligns only
+// the rx entries that became settled since the last one. Offline alignment
+// (align_all) is one extend over the whole trace plus finish().
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "collector/collector.hpp"
@@ -58,11 +65,16 @@ struct AlignOptions {
   bool use_timing = true;
   /// Enforce per-link FIFO order (head-of-line matching). When off, any
   /// unconsumed entry with the right IPID is a candidate (earliest tx wins).
+  /// An offline ablation: it matches within one extend() call only.
   bool use_order = true;
 };
 
-/// Per-node alignment output.
+/// Per-node alignment output. Every lane is indexed by absolute entry
+/// index minus its base (rx_base for the rx lanes, tx_base for the tx
+/// lanes); the bases are 0 unless a streaming caller evicted a prefix.
 struct NodeAlignment {
+  std::uint32_t rx_base{0};
+  std::uint32_t tx_base{0};
   // Link alignment (rx side).
   std::vector<TxRef> rx_origin;            // per rx entry
   // Internal alignment.
@@ -71,7 +83,11 @@ struct NodeAlignment {
   // Downstream fate of tx entries (filled while aligning the downstream
   // node): true = dropped at the downstream input queue.
   std::vector<std::uint8_t> tx_dropped_downstream;
-  // Entry -> batch index maps (for batch metadata lookup).
+  // Downstream rx entry that read each tx entry (kNoEntry: not read) — the
+  // inverse of the downstream node's rx_origin.
+  std::vector<std::uint32_t> tx_read_by;
+  // Entry -> batch index maps (absolute batch indices, for batch metadata
+  // lookup).
   std::vector<std::uint32_t> rx_batch_of;
   std::vector<std::uint32_t> tx_batch_of;
   // Entry -> batch timestamp, expanded to structure-of-arrays lanes so the
@@ -79,6 +95,20 @@ struct NodeAlignment {
   // contiguous value instead of chasing entry -> batch -> record.
   std::vector<TimeNs> rx_entry_ts;
   std::vector<TimeNs> tx_entry_ts;
+
+  std::uint32_t rx_end() const {
+    return rx_base + static_cast<std::uint32_t>(rx_entry_ts.size());
+  }
+  std::uint32_t tx_end() const {
+    return tx_base + static_cast<std::uint32_t>(tx_entry_ts.size());
+  }
+  bool has_rx(std::uint32_t j) const { return j >= rx_base && j < rx_end(); }
+  bool has_tx(std::uint32_t k) const { return k >= tx_base && k < tx_end(); }
+  TxRef origin(std::uint32_t j) const { return rx_origin[j - rx_base]; }
+  std::uint32_t tx_of_rx(std::uint32_t j) const { return rx_to_tx[j - rx_base]; }
+  std::uint32_t rx_of_tx(std::uint32_t k) const { return tx_to_rx[k - tx_base]; }
+  TimeNs rx_ts(std::uint32_t j) const { return rx_entry_ts[j - rx_base]; }
+  TimeNs tx_ts(std::uint32_t k) const { return tx_entry_ts[k - tx_base]; }
 
   friend bool operator==(const NodeAlignment&, const NodeAlignment&) = default;
 };
@@ -109,26 +139,89 @@ struct AlignStats {
   friend bool operator==(const AlignStats&, const AlignStats&) = default;
 };
 
-/// Align every node of the graph. Returns one NodeAlignment per node id
-/// (sources get tx-side maps only).
+/// The records alignment reads: each node's columnar trace by node id
+/// (nullptr where the node has none).
+using NodeTraces = std::vector<const collector::NodeTrace*>;
+
+/// NodeTraces of a collector over the first `node_count` ids.
+NodeTraces node_traces(const collector::Collector& col, std::size_t node_count);
+
+/// Resumable alignment of a growing record stream.
 ///
-/// When `pool` is non-null each pass is sharded per node across it;
-/// per-node alignments are independent (the only cross-node writes,
-/// upstream `tx_dropped_downstream` flags, land on elements owned by
+/// extend(recs, settle, visible) expands every record written at or before
+/// `visible` into the SoA lanes and aligns the rx entries read before
+/// `settle` that no earlier call aligned. The link pass matches an rx entry
+/// against tx entries written up to read time + opts.slack, so a caller
+/// that passes visible >= settle + opts.slack, with every record up to
+/// `visible` present, gets exactly the result one pass over the complete
+/// trace would give for those entries.
+///
+/// speculate(recs, until) aligns further, up to `until`, and rollback()
+/// undoes everything speculate did: the streaming engine diagnoses a
+/// window against the speculative tail and re-aligns it for real once the
+/// next window settles it.
+///
+/// Each pass is sharded per node across `pool` when given; per-node
+/// alignments are independent (the only cross-node writes, upstream
+/// tx_dropped_downstream / tx_read_by entries, land on elements owned by
 /// exactly one downstream node), and stats are accumulated per node and
 /// merged in node-id order — the output is identical to a sequential run.
-///
-/// `recycle`, when non-null, donates a previous call's return value: its
-/// per-node lane buffers are moved in and refilled in place, which avoids
-/// re-faulting ~tens of MB of freshly mmap'd pages on every window of a
-/// streaming run (the lanes are written with assign(), so the donated
-/// contents never leak into the result; *recycle is left moved-from).
+class Aligner {
+ public:
+  Aligner(std::shared_ptr<const GraphView> graph, AlignOptions opts);
+  ~Aligner();
+  Aligner(Aligner&&) noexcept;
+  Aligner& operator=(Aligner&&) noexcept;
+
+  void extend(const NodeTraces& recs, TimeNs settle, TimeNs visible,
+              ThreadPool* pool = nullptr, const ParallelOptions& par = {});
+  void speculate(const NodeTraces& recs, TimeNs until,
+                 ThreadPool* pool = nullptr, const ParallelOptions& par = {});
+  void rollback();
+
+  /// End of stream: flag every unread upstream entry whose delivery
+  /// deadline passed before the reader's last read as a queue drop.
+  void finish(const NodeTraces& recs);
+
+  /// Forget entries before the first one recorded at or after `horizon`
+  /// (per node, in record order — the rule StreamStore::evict_before
+  /// applies). Cursors move past forgotten entries; unread ones are not
+  /// flagged. Lanes are compacted once their dead prefix outgrows the live
+  /// part.
+  void evict_before(TimeNs horizon);
+
+  const std::vector<NodeAlignment>& alignments() const { return out_; }
+  /// Stats of the committed (non-speculative) work so far.
+  const AlignStats& stats() const { return stats_; }
+
+  /// Absolute rx entries [rx_begin(d), rx_done(d)) aligned by the last
+  /// extend() or speculate() call.
+  std::uint32_t rx_begin(NodeId d) const;
+  std::uint32_t rx_done(NodeId d) const;
+  /// Upstream entries flagged as dropped by the last extend(), speculate()
+  /// or finish() call, in no particular order.
+  std::vector<TxRef> new_drops() const;
+
+ private:
+  struct State;
+  void run(const NodeTraces& recs, TimeNs settle, TimeNs visible, bool spec,
+           ThreadPool* pool, const ParallelOptions& par);
+
+  std::shared_ptr<const GraphView> graph_;
+  AlignOptions opts_;
+  std::vector<NodeAlignment> out_;
+  std::unique_ptr<State> st_;
+  AlignStats stats_;
+};
+
+/// Align every node of the graph over the complete trace: one extend()
+/// plus finish(). Returns one NodeAlignment per node id (sources get
+/// tx-side maps only).
 std::vector<NodeAlignment> align_all(const collector::Collector& col,
                                      const GraphView& graph,
                                      const AlignOptions& opts,
                                      AlignStats* stats,
                                      ThreadPool* pool = nullptr,
-                                     const ParallelOptions& par = {},
-                                     std::vector<NodeAlignment>* recycle = nullptr);
+                                     const ParallelOptions& par = {});
 
 }  // namespace microscope::trace

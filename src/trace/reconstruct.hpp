@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -136,43 +137,147 @@ struct ReconstructOptions {
   ParallelOptions parallel{};
 };
 
+/// A journey's terminal record: what seeded its backward walk, and so
+/// where it sits in the offline journey order (delivered packets by edge
+/// node and tx entry, then queue drops by upstream node and tx entry, then
+/// policy drops by node and rx entry).
+struct JourneySeed {
+  enum class Kind : std::uint8_t { kDelivered, kQueueDrop, kPolicyDrop };
+  Kind kind{Kind::kDelivered};
+  NodeId node{kInvalidNode};
+  std::uint32_t idx{kNoEntry};
+  /// When the terminal record settles: the edge tx time (delivered), the
+  /// arrival at the dropping queue (queue drop), or the read time (policy
+  /// drop). Every hop arrival of the journey lies at or before it.
+  TimeNs time{0};
+
+  friend bool operator<(const JourneySeed& a, const JourneySeed& b) {
+    if (a.kind != b.kind) return a.kind < b.kind;
+    if (a.node != b.node) return a.node < b.node;
+    return a.idx < b.idx;
+  }
+};
+
+/// Journeys and per-NF queue timelines reconstructed from a record stream.
+///
+/// Offline, reconstruct() builds one from a complete trace. The streaming
+/// engine instead keeps one alive and grows it (DESIGN.md §7):
+/// extend(settle) aligns the records read before `settle`, appends their
+/// timeline entries, and builds every journey whose records can no longer
+/// change; speculate(until) aligns the unsettled tail up to `until` and
+/// builds the journeys of the packets in flight at the last settle
+/// frontier (the only unsettled journeys a diagnosis of the time before
+/// that frontier reads), and rollback() undoes it. Journey ids are
+/// assigned in build order, from `index_origin` on, and stay stable until
+/// evicted; entry indices are the records' own absolute indices, and the
+/// first records seen need not start at 0. All of them are 32-bit: a
+/// long-running owner starts a fresh trace before index_end() nears
+/// kNoEntry (DESIGN.md §7).
 class ReconstructedTrace {
  public:
-  ReconstructedTrace(const GraphView& graph, ReconstructOptions opts)
-      : graph_(graph), opts_(opts) {}
+  ReconstructedTrace(GraphView graph, ReconstructOptions opts,
+                     std::uint32_t index_origin = 0);
+  ~ReconstructedTrace();
+  ReconstructedTrace(ReconstructedTrace&&) noexcept;
+  ReconstructedTrace& operator=(ReconstructedTrace&&) noexcept;
 
-  const GraphView& graph() const { return graph_; }
+  const GraphView& graph() const { return *graph_; }
   const ReconstructOptions& options() const { return opts_; }
 
+  /// Live journeys, ids [first_journey(), journey_end()).
   const std::vector<Journey>& journeys() const { return journeys_; }
-  const Journey& journey(std::uint32_t id) const { return journeys_.at(id); }
+  const Journey& journey(std::uint32_t id) const {
+    return journeys_.at(id - journey_base_);
+  }
+  std::uint32_t first_journey() const { return journey_base_; }
+  std::uint32_t journey_end() const {
+    return journey_base_ + static_cast<std::uint32_t>(journeys_.size());
+  }
+  const JourneySeed& seed(std::uint32_t id) const {
+    return seeds_.at(id - journey_base_);
+  }
 
   const NodeTimeline& timeline(NodeId id) const { return timelines_.at(id); }
   bool has_timeline(NodeId id) const {
     return id < timelines_.size() && !timelines_[id].reads.empty();
   }
 
-  const AlignStats& align_stats() const { return align_stats_; }
-  const std::vector<NodeAlignment>& alignments() const { return alignments_; }
+  const AlignStats& align_stats() const { return aligner_.stats(); }
+  const std::vector<NodeAlignment>& alignments() const {
+    return aligner_.alignments();
+  }
+
+  /// One past the highest journey id or internal timeline position in
+  /// use (entry indices are the records' own).
+  std::uint32_t index_end() const;
 
   /// Journey id of a node's rx entry (kNoJourney if unresolved).
   std::uint32_t journey_of_rx(NodeId node, std::uint32_t rx_idx) const;
 
+  // --- growing the trace --------------------------------------------------
+  /// Settle everything read before `settle`, reading records written up
+  /// to `visible` (>= settle + align slack for exact alignment). Returns
+  /// the ids of the journeys it built: [first, journey_end()).
+  std::uint32_t extend(const NodeTraces& recs, TimeNs settle, TimeNs visible);
+  /// Align the unsettled tail up to `until` and build the journeys of the
+  /// packets in flight at the last extend()'s settle frontier,
+  /// provisionally; returns the first provisional journey id. Undone by
+  /// rollback(), and by the next extend(), speculate() or evict_before().
+  std::uint32_t speculate(const NodeTraces& recs, TimeNs until);
+  void rollback();
+  /// Forget state recorded before `horizon` (the StreamStore rule). Memory
+  /// is released in amortized steps, once the dead prefix outgrows the
+  /// live part.
+  void evict_before(TimeNs horizon);
+
+  /// Wall time the last extend() or speculate() spent per phase.
+  struct PhaseTimes {
+    std::int64_t align_ns{0};
+    std::int64_t timeline_ns{0};
+    std::int64_t walk_ns{0};
+  };
+  const PhaseTimes& last_phase_times() const { return phase_; }
+
+ private:
   friend ReconstructedTrace reconstruct(const collector::Collector& col,
                                         const GraphView& graph,
                                         const ReconstructOptions& opts);
+  struct State;
+  enum class Mode : std::uint8_t { kCommit, kSpeculate, kFinal };
+  std::uint32_t grow(const NodeTraces& recs, TimeNs settle, TimeNs visible,
+                     Mode mode);
+  void extend_timelines(const NodeTraces& recs, TimeNs limit, Mode mode);
+  /// The terminals this call settles (or, speculating, sees), in offline
+  /// order.
+  std::vector<JourneySeed> collect_seeds(const NodeTraces& recs, TimeNs settle,
+                                         TimeNs visible, Mode mode,
+                                         const std::vector<TxRef>& drops);
+  /// The terminals of packets in flight at the last settle frontier, in
+  /// offline order (speculation).
+  std::vector<JourneySeed> in_flight_seeds(const NodeTraces& recs,
+                                           const std::vector<TxRef>& drops);
+  /// Walk the journeys of `seeds` (in offline order), appending them.
+  void build_journeys(const NodeTraces& recs,
+                      const std::vector<JourneySeed>& seeds);
+  void unmark(std::uint32_t jid);
+  /// Set the journey of tx entry (node, idx) and of its arrival at `peer`
+  /// (kNoJourney clears).
+  void mark_tx(NodeId node, std::uint32_t idx, NodeId peer, std::uint32_t jid);
+  void compact(TimeNs horizon);
 
- private:
-  GraphView graph_;
+  std::shared_ptr<const GraphView> graph_;  // shared with aligner_
   ReconstructOptions opts_;
+  Aligner aligner_;
   std::vector<Journey> journeys_;
-  std::vector<NodeTimeline> timelines_;          // by node id
-  std::vector<std::vector<std::uint32_t>> jid_of_rx_;  // [node][rx entry]
-  std::vector<NodeAlignment> alignments_;
-  AlignStats align_stats_{};
+  std::vector<JourneySeed> seeds_;
+  std::uint32_t journey_base_{0};
+  std::vector<NodeTimeline> timelines_;  // by node id
+  std::unique_ptr<State> st_;
+  PhaseTimes phase_;
 };
 
-/// Run alignment and assemble journeys + timelines.
+/// Run alignment and assemble journeys + timelines over a complete trace:
+/// one extend() over everything, then finish().
 ReconstructedTrace reconstruct(const collector::Collector& col,
                                const GraphView& graph,
                                const ReconstructOptions& opts = {});

@@ -175,29 +175,32 @@ TEST(ChaosTest, SalvageClockSkewedTrace) {
 TEST(ChaosTest, StreamStoreSkewedEvictionDoesNotLeak) {
   online::StreamStore store;
   store.register_node(1, false);
-  auto batch = [](TimeNs ts) {
-    online::StreamBatch b;
-    b.ts = ts;
-    b.pkts.assign(1, Packet{});
-    return b;
+  const Packet pkt{};
+  auto add = [&](TimeNs ts) {
+    store.add(1, collector::Direction::kRx, kInvalidNode, ts, {&pkt, 1});
   };
   // A skewed stream: 10 ms, 20 ms, then a regressed 12 ms batch.
-  store.add(1, batch(10_ms));
-  store.add(1, batch(20_ms));
-  store.add(1, batch(12_ms));
+  add(10_ms);
+  add(20_ms);
+  add(12_ms);
 
-  // The regressed batch is still materialized by range.
-  const collector::Collector slice = store.materialize(11_ms, 13_ms, 11_ms);
-  EXPECT_EQ(slice.node(1).rx_batches.size(), 1u);
-  EXPECT_EQ(slice.node(1).rx_batches[0].ts, 12_ms);
+  // The regressed batch is still found by range, in record order.
+  EXPECT_FALSE(store.empty_in(11_ms, 13_ms));
+  EXPECT_TRUE(store.empty_in(13_ms, 19_ms));
+  const collector::NodeTrace& t = *store.traces(2)[1];
+  ASSERT_EQ(t.rx_batches.size(), 3u);
+  EXPECT_EQ(t.rx_batches[2].ts, 12_ms);
 
   // Front-of-stream eviction: the 12 ms batch survives a 15 ms horizon
   // (blocked behind its 20 ms positional predecessor) but is released —
   // not leaked — once the predecessor passes the horizon too.
   store.evict_before(15_ms);
   EXPECT_EQ(store.retained_batches(), 2u);
+  EXPECT_FALSE(store.empty_in(11_ms, 13_ms));
   store.evict_before(21_ms);
   EXPECT_EQ(store.retained_batches(), 0u);
+  EXPECT_EQ(store.retained_bytes(), 0u);
+  EXPECT_TRUE(store.empty_in(0, 30_ms));
 }
 
 TEST(ChaosTest, EngineWatermarkNotWedgedByLateRecords) {

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -40,18 +42,19 @@ struct Scenario {
   std::vector<RatePerNs> rates;
 };
 
-Scenario make_fig10_scenario() {
+Scenario make_fig10_scenario(DurationNs duration = 10_ms,
+                             double rate_mpps = 1.0) {
   Scenario s;
   sim::Simulator sim;
   auto net = eval::build_fig10(sim, &s.col);
   nf::CaidaLikeOptions topts;
-  topts.duration = 10_ms;
-  topts.rate_mpps = 1.0;
+  topts.duration = duration;
+  topts.rate_mpps = rate_mpps;
   topts.num_flows = 300;
   net.topo->source(net.source).load(nf::generate_caida_like(topts));
   nf::InjectionLog log;
   nf::schedule_interrupt(sim, net.topo->nf(net.nats[0]), 4_ms, 600_us, log);
-  sim.run_until(24_ms);
+  sim.run_until(duration + 14_ms);
   s.graph = trace::graph_view(*net.topo);
   s.prop_delay = net.topo->options().prop_delay;
   s.rates = net.topo->peak_rates();
@@ -161,17 +164,26 @@ void expect_windows_match_offline(const Scenario& s, const OnlineOptions& oopt,
         << label << " diagnosis " << i;
 }
 
-void check_equivalence_matrix(const Scenario& s, DurationNs threshold) {
+/// Window x threads x poll-chunk cells, each matched against offline.
+/// `tweak` adjusts every cell's options; `check` inspects each finished
+/// engine.
+void check_equivalence_matrix(
+    const Scenario& s, DurationNs threshold,
+    const std::function<void(OnlineOptions&)>& tweak = {},
+    const std::function<void(const OnlineEngine&, const std::string&)>& check =
+        {}) {
   for (const DurationNs window : {2_ms, 5_ms, 10_ms}) {
     for (const unsigned threads : {1u, 4u}) {
       for (const std::size_t poll_every : {std::size_t{7}, std::size_t{256}}) {
-        const OnlineOptions oopt = base_options(s, window, threads, threshold);
+        OnlineOptions oopt = base_options(s, window, threads, threshold);
+        if (tweak) tweak(oopt);
         OnlineEngine eng(s.graph, s.rates, oopt);
         const auto windows = replay_collector(s.col, eng, poll_every);
         const std::string label = "window=" + std::to_string(window) +
                                   " threads=" + std::to_string(threads) +
                                   " chunk=" + std::to_string(poll_every);
         expect_windows_match_offline(s, oopt, windows, label);
+        if (check) check(eng, label);
       }
     }
   }
@@ -185,14 +197,137 @@ TEST(Online, Fig2PropagationMatchesOffline) {
   check_equivalence_matrix(make_fig2_scenario(), 60_us);
 }
 
+TEST(Online, ShortHistoryEvictionMatchesOffline) {
+  // A history far shorter than the stream: every cell evicts the front of
+  // the store and of the persistent reconstruction (alignment cursors,
+  // journeys, timelines) while it runs, and must still match offline.
+  const Scenario s = make_fig10_scenario(60_ms, 0.6);
+  const auto short_history = [](OnlineOptions& o) {
+    o.diagnoser.max_depth = 3;
+    o.diagnoser.period.max_lookback = 1_ms;
+  };
+  DurationNs span = 0;
+  for (NodeId id = 0; id < s.col.node_count(); ++id)
+    if (s.col.has_node(id) && !s.col.node(id).tx_batches.empty())
+      span = std::max(span, s.col.node(id).tx_batches.back().ts);
+  check_equivalence_matrix(
+      s, 100_us, short_history,
+      [&](const OnlineEngine& eng, const std::string& label) {
+        ASSERT_LT(eng.history_ns() + 2 * 5_ms, span / 2) << label;
+        const OnlineStats st = eng.stats();
+        EXPECT_LT(st.retained_span_ns, span / 2) << label;
+        EXPECT_LT(st.retained_batches, st.batches_ingested / 2) << label;
+      });
+}
+
+TEST(Online, IndicesNearLimitRenumberAndMatchOffline) {
+  // Records and journeys numbered from the top of the 32-bit range: from
+  // just below the renumbering threshold (the engine renumbers, rebuilding
+  // its reconstruction from the retained records, every few windows) and
+  // from within 100k of kNoEntry (it renumbers at every close). Either way
+  // it must match offline throughout.
+  const Scenario s = make_fig10_scenario(60_ms, 0.6);
+  for (const std::uint32_t origin :
+       {trace::kNoEntry - OnlineEngine::kIndexHeadroom - 20000,
+        trace::kNoEntry - 100000}) {
+    for (const DurationNs window : {2_ms, 10_ms}) {
+      for (const unsigned threads : {1u, 4u}) {
+        OnlineOptions oopt = base_options(s, window, threads, 100_us);
+        oopt.diagnoser.max_depth = 3;
+        oopt.diagnoser.period.max_lookback = 1_ms;
+        OnlineEngine eng(s.graph, s.rates, oopt);
+        eng.set_index_origin(origin);  // nodes registered later start there
+        const auto windows = replay_collector(s.col, eng, 64);
+        const std::string label = "origin=" + std::to_string(origin) +
+                                  " window=" + std::to_string(window) +
+                                  " threads=" + std::to_string(threads);
+        expect_windows_match_offline(s, oopt, windows, label);
+        // One renumbering at set-up, then at least two mid-stream.
+        EXPECT_GE(eng.stats().index_renumbers, 3u) << label;
+      }
+    }
+  }
+}
+
+TEST(Online, StreamStoreRefusesToWrapIndices) {
+  StreamStore store;
+  store.register_node(0, false);
+  store.renumber(trace::kNoEntry - 40);
+  const std::vector<Packet> pkts(16);
+  store.add(0, collector::Direction::kRx, kInvalidNode, 1, pkts);
+  EXPECT_EQ(store.index_end(), trace::kNoEntry - 40 + 16);
+  store.add(0, collector::Direction::kRx, kInvalidNode, 2, pkts);
+  EXPECT_THROW(store.add(0, collector::Direction::kRx, kInvalidNode, 3, pkts),
+               std::overflow_error);
+}
+
+TEST(Online, WindowWorkIsProportionalToWindow) {
+  // At the default history (~4 s) every record of this stream stays in
+  // every window's reach. A close must still build only the journeys it
+  // settles plus the provisional slack tail — about 1 + slack/window
+  // times the offline journey count in total, not a re-walk of history
+  // per window.
+  const Scenario s = make_fig10_scenario(210_ms, 0.3);
+  OnlineOptions oopt;
+  oopt.latency_threshold = 100_us;
+  oopt.reconstruct.prop_delay = s.prop_delay;
+  OnlineEngine eng(s.graph, s.rates, oopt);
+  ASSERT_GT(eng.history_ns(), 1_s);
+  const auto windows = replay_collector(s.col, eng, 256);
+  ASSERT_GE(windows.size(), 20u);
+
+  std::size_t built = 0;
+  for (const WindowResult& w : windows) built += w.journeys;
+  const std::size_t offline =
+      trace::reconstruct(s.col, s.graph, oopt.reconstruct).journeys().size();
+  ASSERT_GT(offline, 0u);
+  EXPECT_LE(static_cast<double>(built), 1.3 * static_cast<double>(offline))
+      << built << " journeys built for " << offline << " offline";
+  expect_windows_match_offline(s, oopt, windows, "defaults");
+}
+
+TEST(Online, StageTimersCoverWindowClose) {
+  if constexpr (!obs::kMetricsEnabled) {
+    GTEST_SKIP() << "metrics compiled out (MICROSCOPE_NO_METRICS)";
+  }
+  // No dark time: the online.stage.* timers split every window close.
+  const Scenario s = make_fig10_scenario(60_ms, 1.0);
+  obs::Registry& reg = obs::Registry::global();
+  const char* const kStages[] = {
+      "online.stage.store_ns",    "online.stage.align_ns",
+      "online.stage.walk_ns",     "online.stage.timeline_ns",
+      "online.stage.victims_ns",  "online.stage.diagnose_ns",
+      "online.stage.rollback_ns", "online.stage.aggregate_ns",
+      "online.stage.publish_ns",  "online.stage.evict_ns"};
+  const auto sums = [&] {
+    double stages = 0.0;
+    for (const char* n : kStages)
+      stages += static_cast<double>(reg.histogram(n).snapshot().sum);
+    return std::pair<double, double>(
+        stages,
+        static_cast<double>(
+            reg.histogram("online.window_close_ns").snapshot().sum));
+  };
+  const auto before = sums();
+  OnlineEngine eng(s.graph, s.rates, base_options(s, 2_ms, 1, 100_us));
+  const auto windows = replay_collector(s.col, eng, 64);
+  ASSERT_GE(windows.size(), 20u);
+  const auto after = sums();
+  const double stages = after.first - before.first;
+  const double close = after.second - before.second;
+  ASSERT_GT(close, 0.0);
+  EXPECT_NEAR(stages, close, 0.05 * close)
+      << "stage timers cover " << stages / close << " of window close";
+}
+
 TEST(Online, MidStreamCutsWithBurstMatchOffline) {
-  // Regression for the alignment warm-up margin: a long high-rate stream
-  // with a traffic burst, diagnosed with a history much shorter than the
-  // trace, forces later windows to materialize mid-stream slices whose
-  // lower cut lands while packets are in flight. Without the tx-side
-  // margin the FIFO matcher desynchronizes on the stranded rx entries
-  // (ipid-colliding scan-ahead) and the burst window's diagnoses collapse;
-  // with it, every window must still match offline byte for byte.
+  // A long high-rate stream with a traffic burst, diagnosed with a history
+  // much shorter than the trace: later windows run after eviction has cut
+  // the stream's front while packets were in flight across the cut. The
+  // FIFO matcher must stay synchronized (an ipid-colliding scan-ahead on
+  // stranded entries would desynchronize it and collapse the burst
+  // window's diagnoses); every window must still match offline byte for
+  // byte.
   Scenario s;
   {
     sim::Simulator sim;
@@ -219,7 +354,7 @@ TEST(Online, MidStreamCutsWithBurstMatchOffline) {
     oopt.diagnoser.period.max_lookback = 2_ms;
     OnlineEngine eng(s.graph, s.rates, oopt);
     // The derived history must be well short of the trace so that the later
-    // windows (including the burst window) really do slice mid-stream.
+    // windows (including the burst window) really do run mid-stream.
     ASSERT_LT(eng.history_ns() + oopt.slack_ns, 25_ms);
     const auto windows = replay_collector(s.col, eng, 64);
     EXPECT_GE(windows.size(), 6u);
@@ -463,8 +598,8 @@ TEST(Online, WindowCloseDoesNotRecountCollectedRecords) {
     GTEST_SKIP() << "metrics compiled out (MICROSCOPE_NO_METRICS)";
   }
   // Each record is counted once, when it is collected. Closing a window
-  // copies the retained slice into a throwaway Collector; that copy must
-  // not bump the collector.* hook counters a second time.
+  // reconstructs from the engine's own store; that must not bump the
+  // collector.* hook counters a second time.
   const Scenario s = make_fig10_scenario();
   std::uint64_t fed = 0;
   for (NodeId id = 0; id < s.col.node_count(); ++id)
@@ -488,7 +623,7 @@ TEST(Online, WindowCloseDoesNotRecountCollectedRecords) {
   const auto windows = replay_collector(s.col, eng, 64);  // polls, finishes
   std::size_t journeys = 0;
   for (const WindowResult& w : windows) journeys += w.journeys;
-  ASSERT_GT(journeys, 0u);  // slices were materialized and reconstructed
+  ASSERT_GT(journeys, 0u);  // windows were reconstructed
 
   EXPECT_EQ(eng.stats().batches_ingested, fed);
   EXPECT_EQ(reg.counter("online.batches_ingested").value() - ingested_before,
