@@ -702,8 +702,7 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    for (const core::Victim& v : victims)
-      diagnoses.push_back(diag.diagnose(v));
+    diagnoses = diag.diagnose_all(victims);
 
     if (want_patterns) {
       patterns = autofocus::aggregate_patterns(

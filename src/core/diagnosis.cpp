@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <map>
-#include <stdexcept>
+#include <memory>
+#include <memory_resource>
+#include <tuple>
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
@@ -12,9 +13,7 @@
 
 namespace microscope::core {
 
-using trace::Journey;
 using trace::kNoJourney;
-using trace::NodeTimeline;
 
 namespace {
 
@@ -28,6 +27,8 @@ struct DiagnoseMetrics {
   obs::Histogram& depth;
   obs::Histogram& relation_score;
   obs::Gauge& residual;
+  obs::Counter& preset_arrivals;
+  obs::Counter& preset_rebuilds;
 
   static DiagnoseMetrics& get() {
     static DiagnoseMetrics m{
@@ -39,7 +40,9 @@ struct DiagnoseMetrics {
                                           obs::depth_bounds()),
         obs::Registry::global().histogram("core.diagnose.relation_score",
                                           obs::score_bounds()),
-        obs::Registry::global().gauge("core.diagnosis.attribution_residual")};
+        obs::Registry::global().gauge("core.diagnosis.attribution_residual"),
+        obs::Registry::global().counter("core.diagnose.preset_arrivals"),
+        obs::Registry::global().counter("core.diagnose.preset_rebuilds")};
     return m;
   }
 };
@@ -62,6 +65,14 @@ void record_diagnosis(const Diagnosis& d, DiagnoseMetrics& m) {
   m.depth.record(max_depth);
 }
 
+/// PreSet sharing counters of one finished cache.
+void publish(const PreSetCache& cache) {
+  if constexpr (!obs::kMetricsEnabled) return;
+  DiagnoseMetrics& m = DiagnoseMetrics::get();
+  m.preset_arrivals.add(cache.arrivals_folded());
+  if (cache.rebuilds() > 0) m.preset_rebuilds.add(cache.rebuilds());
+}
+
 }  // namespace
 
 Diagnoser::Diagnoser(const trace::ReconstructedTrace& rt,
@@ -74,17 +85,80 @@ Diagnoser::Diagnoser(const trace::ReconstructedTrace& rt,
 std::vector<Diagnosis> Diagnoser::diagnose_all(
     const std::vector<Victim>& victims) const {
   std::vector<Diagnosis> out(victims.size());
+  std::vector<std::optional<QueuingPeriod>> periods(victims.size());
+  for (std::size_t i = 0; i < victims.size(); ++i)
+    periods[i] = victim_period(victims[i]);
+
+  // Victims of one period become contiguous, in anchor-time order; periods
+  // are ordered by start so upstream periods reached by recursion stay
+  // warm in the cache from one period to the next.
+  const auto period_key = [&](std::uint32_t i) {
+    const auto& p = periods[i];
+    return std::make_tuple(p ? p->start : kTimeNever, victims[i].node,
+                           p ? p->first_arrival : 0);
+  };
+  std::vector<std::uint32_t> order(victims.size());
+  for (std::size_t i = 0; i < order.size(); ++i)
+    order[i] = static_cast<std::uint32_t>(i);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return std::make_tuple(period_key(a), victims[a].time, a) <
+           std::make_tuple(period_key(b), victims[b].time, b);
+  });
+
+  // Work items: one per period, a large one split into contiguous chunks
+  // so the pool can balance it (each chunk pays one accumulator rebuild).
   const auto pool = ThreadPool::make(opts_.parallel);
+  const std::size_t max_chunk =
+      pool ? victims.size() / (2 * std::size_t{pool->size()}) + 1
+           : victims.size();
+  std::vector<std::size_t> items;  // start offsets into `order`
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    if (k == 0 || period_key(order[k]) != period_key(order[k - 1]) ||
+        k - items.back() >= max_chunk)
+      items.push_back(k);
+  }
+  items.push_back(order.size());
+
   parallel_for_over(
-      pool.get(), victims.size(),
+      pool.get(), items.size() - 1,
       [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) out[i] = diagnose(victims[i]);
+        // Accumulators live in a pool of this task's own: blocks of every
+        // size, freed as periods finish, would otherwise interleave with
+        // the long-lived results on the general heap and fragment it. A
+        // period's accumulators rarely serve a later period unless the
+        // next one uses them too; keep only those the last period used.
+        std::pmr::unsynchronized_pool_resource pool(
+            std::pmr::pool_options{0, std::size_t{1} << 20});
+        PreSetCache cache(*rt_, &pool);
+        for (std::size_t item = b; item < e; ++item) {
+          const std::uint64_t mark = cache.tick();
+          for (std::size_t k = items[item]; k < items[item + 1]; ++k) {
+            const std::uint32_t i = order[k];
+            out[i] = diagnose_in(victims[i], periods[i], cache, nullptr);
+          }
+          cache.drop_unused_since(mark);
+        }
+        publish(cache);
       },
-      chunk_grain(opts_.parallel, victims.size()));
+      chunk_grain(opts_.parallel, items.size() - 1));
   return out;
 }
 
+std::optional<QueuingPeriod> Diagnoser::victim_period(const Victim& v) const {
+  if (!rt_->has_timeline(v.node)) return std::nullopt;
+  return find_queuing_period(rt_->timeline(v.node), v.time, opts_.period);
+}
+
 Diagnosis Diagnoser::diagnose(const Victim& v, Provenance* prov) const {
+  PreSetCache cache(*rt_);
+  Diagnosis d = diagnose_in(v, victim_period(v), cache, prov);
+  publish(cache);
+  return d;
+}
+
+Diagnosis Diagnoser::diagnose_in(const Victim& v,
+                                 const std::optional<QueuingPeriod>& period,
+                                 PreSetCache& cache, Provenance* prov) const {
   DiagnoseMetrics& m = DiagnoseMetrics::get();
   obs::ScopedTimer timer(m.ns);
   const auto wscope = obs::CorrelationScope::for_window(opts_.trace_window);
@@ -98,17 +172,12 @@ Diagnosis Diagnoser::diagnose(const Victim& v, Provenance* prov) const {
     *prov = Provenance{};
     prov->victim = v;
   }
-  const NodeId f = v.node;
-  if (!rt_->has_timeline(f)) {
-    m.no_period.add();
-    return d;
-  }
-  const auto period = find_queuing_period(rt_->timeline(f), v.time, opts_.period);
   if (!period) {
     m.no_period.add();
     return d;
   }
 
+  const NodeId f = v.node;
   const LocalScores ls = local_scores(rt_->timeline(f), *period, peak_rates_[f]);
   if (prov) {
     prov->found_period = true;
@@ -118,51 +187,19 @@ Diagnosis Diagnoser::diagnose(const Victim& v, Provenance* prov) const {
     prov->emitted_local = ls.s_p > opts_.min_score;
     prov->propagated = ls.s_i > opts_.min_score;
   }
-  if (ls.s_p > opts_.min_score) emit_local(f, *period, ls.s_p, 0, d);
+  if (ls.s_p > opts_.min_score) emit_local(f, *period, ls.s_p, 0, cache, d);
   if (ls.s_i > opts_.min_score)
-    propagate(f, *period, ls.s_i, 0, v.journey, d, prov, -1);
+    propagate(f, *period, ls.s_i, 0, v.journey, cache, d, prov, -1);
   record_diagnosis(d, m);
   span.set_items(d.relations.size());
   return d;
 }
 
-namespace {
-
-/// Canonical flow-weight order: weight descending, five-tuple ascending.
-/// The tuple tie-break keeps relation output independent of hash-map
-/// iteration order, so a windowed (online) diagnosis of the same victim is
-/// byte-identical to the full-trace one.
-bool flow_weight_before(const FlowWeight& a, const FlowWeight& b) {
-  if (a.weight != b.weight) return a.weight > b.weight;
-  return a.flow < b.flow;
-}
-
-/// Per-path PreSet subset: identical node sequences share a group.
-struct PathGroup {
-  std::vector<std::uint32_t> jids;
-};
-
-/// The node sequence a journey takes before reaching `f` (source first).
-/// Empty when the journey is incomplete or does not visit f.
-std::vector<NodeId> path_before(const Journey& j, NodeId f) {
-  std::vector<NodeId> path;
-  if (!j.complete()) return path;
-  path.push_back(j.source);
-  for (const trace::Hop& h : j.hops) {
-    if (h.node == f) return path;
-    path.push_back(h.node);
-  }
-  return {};  // never reached f (alignment noise); skip
-}
-
-}  // namespace
-
 void Diagnoser::propagate(NodeId f, const QueuingPeriod& period,
                           double base_score, int depth,
-                          std::uint32_t victim_journey, Diagnosis& out,
-                          Provenance* prov, int prov_parent) const {
-  const NodeTimeline& tl = rt_->timeline(f);
-
+                          std::uint32_t victim_journey, PreSetCache& cache,
+                          Diagnosis& out, Provenance* prov,
+                          int prov_parent) const {
   // Reserve this invocation's provenance step up front so children appear
   // after their parent. `prov->steps` grows during recursion, so the step
   // is always re-addressed by index, never held by reference across calls.
@@ -178,26 +215,13 @@ void Diagnoser::propagate(NodeId f, const QueuingPeriod& period,
     prov->steps.push_back(std::move(st));
   }
 
-  // ---- Collect PreSet(p), grouped by upstream path. ----
-  std::map<std::vector<NodeId>, PathGroup> groups;
-  std::size_t n_grouped = 0;
-  std::size_t n_skipped = 0;
-  for (std::size_t i = period.first_arrival; i < period.last_arrival; ++i) {
-    const trace::Arrival& a = tl.arrivals[i];
-    if (a.journey == victim_journey) continue;  // PreSet excludes p itself
-    if (a.journey == kNoJourney) {
-      ++n_skipped;
-      continue;
-    }
-    const Journey& j = rt_->journey(a.journey);
-    std::vector<NodeId> path = path_before(j, f);
-    if (path.empty()) {
-      ++n_skipped;
-      continue;
-    }
-    groups[std::move(path)].jids.push_back(a.journey);
-    ++n_grouped;
-  }
+  // ---- PreSet(p), grouped by upstream path: the period's shared
+  // accumulator less the victim's own journey. Holding it pins it, so
+  // recursion below cannot change it under us.
+  const std::shared_ptr<const PreSet> ps = cache.get(f, period);
+  const PreSetExclusion ex = ps->exclusion(victim_journey);
+  const std::size_t n_grouped = ps->grouped() - (ex.group >= 0 ? 1 : 0);
+  const std::size_t n_skipped = ps->skipped() - (ex.skipped() ? 1 : 0);
   if (prov) {
     prov->steps[step_idx].preset_packets = n_grouped;
     prov->steps[step_idx].preset_skipped = n_skipped;
@@ -218,11 +242,19 @@ void Diagnoser::propagate(NodeId f, const QueuingPeriod& period,
     double score{0.0};
     TimeNs t0{kTimeNever};
     TimeNs t1{0};
-    std::vector<std::uint32_t> jids;
+    std::vector<std::uint32_t> groups;
   };
   std::unordered_map<NodeId, double> nf_scores;
   std::unordered_map<NodeId, SourceAccum> source_scores;
-  std::unordered_map<NodeId, std::vector<std::uint32_t>> nf_jids;
+  std::unordered_map<NodeId, std::vector<std::uint32_t>> nf_groups;
+  const auto packets = [&](std::uint32_t g) -> std::size_t {
+    return ps->groups()[g].count - (ex.counted_in(g) ? 1 : 0);
+  };
+  const auto total_packets = [&](const std::vector<std::uint32_t>& gs) {
+    std::size_t n = 0;
+    for (const std::uint32_t g : gs) n += packets(g);
+    return n;
+  };
 
   // Conservation accounting (always on): every path's share either lands
   // on hops (`attributed`) or is deliberately charged to nobody when the
@@ -231,28 +263,23 @@ void Diagnoser::propagate(NodeId f, const QueuingPeriod& period,
   double attributed = 0.0;
   double uncharged = 0.0;
 
-  for (auto& [path, group] : groups) {
-    const double share =
-        base_score * static_cast<double>(group.jids.size()) /
-        static_cast<double>(n_grouped);
+  for (const std::uint32_t g : ps->lex_order()) {
+    const PathGroup& group = ps->groups()[g];
+    const std::size_t count = packets(g);
+    if (count == 0) continue;  // the victim was the path's only packet
+    const auto& path = group.path;
+    const std::uint32_t skip = ex.counted_in(g) ? ex.journey : kNoJourney;
+    const double share = base_score * static_cast<double>(count) /
+                         static_cast<double>(n_grouped);
 
     // Timespans: index 0 is the source (emit times), then each upstream NF
     // (depart times of the subset).
     std::vector<PathHopSpan> spans(path.size());
-    std::vector<TimeNs> lo(path.size(), kTimeNever), hi(path.size(), 0);
-    for (const std::uint32_t jid : group.jids) {
-      const Journey& j = rt_->journey(jid);
-      lo[0] = std::min(lo[0], j.source_time);
-      hi[0] = std::max(hi[0], j.source_time);
-      for (std::size_t k = 1; k < path.size(); ++k) {
-        const trace::Hop& h = j.hops[k - 1];
-        lo[k] = std::min(lo[k], h.depart);
-        hi[k] = std::max(hi[k], h.depart);
-      }
-    }
     for (std::size_t k = 0; k < path.size(); ++k) {
       spans[k].node = path[k];
-      spans[k].timespan = static_cast<double>(hi[k] - lo[k]);
+      spans[k].timespan =
+          static_cast<double>(group.hops[k].depart.max_without(skip) -
+                              group.hops[k].depart.min_without(skip));
     }
 
     const std::vector<HopScore> hop_scores =
@@ -265,21 +292,20 @@ void Diagnoser::propagate(NodeId f, const QueuingPeriod& period,
       if (rt_->graph().is_source(hs.node)) {
         SourceAccum& acc = source_scores[hs.node];
         acc.score += hs.score;
-        acc.t0 = std::min(acc.t0, lo[0]);
-        acc.t1 = std::max(acc.t1, hi[0]);
-        acc.jids.insert(acc.jids.end(), group.jids.begin(), group.jids.end());
+        acc.t0 = std::min(acc.t0, group.hops[0].depart.min_without(skip));
+        acc.t1 = std::max(acc.t1, group.hops[0].depart.max_without(skip));
+        acc.groups.push_back(g);
       } else {
         nf_scores[hs.node] += hs.score;
-        auto& js = nf_jids[hs.node];
-        js.insert(js.end(), group.jids.begin(), group.jids.end());
+        nf_groups[hs.node].push_back(g);
       }
     }
     attributed += path_attributed;
     if (path_attributed <= 0.0) uncharged += share;
     if (prov) {
       PathAttribution pa;
-      pa.path = path;
-      pa.packets = group.jids.size();
+      pa.path.assign(path.begin(), path.end());
+      pa.packets = count;
       pa.share = share;
       pa.hops.reserve(hop_scores.size());
       for (std::size_t k = 0; k < hop_scores.size(); ++k)
@@ -314,7 +340,16 @@ void Diagnoser::propagate(NodeId f, const QueuingPeriod& period,
       prov->steps[step_idx].culprits.push_back(std::move(ca));
     }
     if (!emitted) continue;
-    emit_source(src, acc.score, depth, acc.t0, acc.t1, acc.jids, out);
+    CausalRelation rel;
+    rel.culprit = {src, CauseKind::kSourceTraffic};
+    rel.score = acc.score;
+    rel.culprit_t0 = acc.t0;
+    rel.culprit_t1 = acc.t1;
+    rel.depth = depth;
+    rel.flows = group_flows(*ps, acc.groups, ex, acc.score,
+                            total_packets(acc.groups),
+                            opts_.max_flows_per_relation);
+    out.relations.push_back(std::move(rel));
   }
 
   // ---- Recurse into NF culprits (§4.3). ----
@@ -335,18 +370,18 @@ void Diagnoser::propagate(NodeId f, const QueuingPeriod& period,
       continue;
     }
 
-    // First arrival of the PreSet subset at u.
+    // First and last arrival of the PreSet subset at u.
+    const std::vector<std::uint32_t>& groups_u = nf_groups[u];
     TimeNs t_first_u = kTimeNever;
     TimeNs t_last_u = 0;
-    for (const std::uint32_t jid : nf_jids[u]) {
-      const Journey& j = rt_->journey(jid);
-      for (const trace::Hop& h : j.hops) {
-        if (h.node == u) {
-          t_first_u = std::min(t_first_u, h.arrival);
-          t_last_u = std::max(t_last_u, h.arrival);
-          break;
-        }
-      }
+    for (const std::uint32_t g : groups_u) {
+      const PathGroup& group = ps->groups()[g];
+      const std::uint32_t skip = ex.counted_in(g) ? ex.journey : kNoJourney;
+      const std::size_t k = static_cast<std::size_t>(
+          std::find(group.path.begin(), group.path.end(), u) -
+          group.path.begin());
+      t_first_u = std::min(t_first_u, group.hops[k].arrival.min_without(skip));
+      t_last_u = std::max(t_last_u, group.hops[k].arrival.max_without(skip));
     }
     if (t_first_u == kTimeNever) continue;
 
@@ -370,20 +405,9 @@ void Diagnoser::propagate(NodeId f, const QueuingPeriod& period,
       rel.culprit_t1 = std::max(t_last_u, t_first_u);
       rel.depth = depth + 1;
       // Culprit flows: the PreSet packets that traversed u.
-      std::unordered_map<std::uint64_t, std::pair<FiveTuple, double>> counts;
-      for (const std::uint32_t jid : nf_jids[u]) {
-        const Journey& j = rt_->journey(jid);
-        auto& e = counts[flow_hash(j.flow)];
-        e.first = j.flow;
-        e.second += 1.0;
-      }
-      for (auto& [h, fc] : counts)
-        rel.flows.push_back(
-            {fc.first, score * fc.second /
-                           static_cast<double>(nf_jids[u].size())});
-      std::sort(rel.flows.begin(), rel.flows.end(), flow_weight_before);
-      if (rel.flows.size() > opts_.max_flows_per_relation)
-        rel.flows.resize(opts_.max_flows_per_relation);
+      rel.flows = group_flows(*ps, groups_u, ex, score,
+                              total_packets(groups_u),
+                              opts_.max_flows_per_relation);
       out.relations.push_back(std::move(rel));
       push_culprit(AttributionOutcome::kTerminalLocal);
       continue;
@@ -393,7 +417,7 @@ void Diagnoser::propagate(NodeId f, const QueuingPeriod& period,
         local_scores(rt_->timeline(u), *period_u, peak_rates_[u]);
     const double denom = sub.s_i + sub.s_p;
     if (denom <= 0.0) {
-      emit_local(u, *period_u, score, depth + 1, out);
+      emit_local(u, *period_u, score, depth + 1, cache, out);
       push_culprit(AttributionOutcome::kTerminalLocal);
       continue;
     }
@@ -404,77 +428,28 @@ void Diagnoser::propagate(NodeId f, const QueuingPeriod& period,
     ca.local_part = local_part;
     ca.input_part = input_part;
     if (local_part > opts_.min_score)
-      emit_local(u, *period_u, local_part, depth + 1, out);
+      emit_local(u, *period_u, local_part, depth + 1, cache, out);
     if (input_part > opts_.min_score) {
       ca.child_step = prov ? static_cast<int>(prov->steps.size()) : -1;
-      propagate(u, *period_u, input_part, depth + 1, victim_journey, out,
-                prov, step_idx);
+      propagate(u, *period_u, input_part, depth + 1, victim_journey, cache,
+                out, prov, step_idx);
     }
     push_culprit(AttributionOutcome::kRecursed);
   }
 }
 
 void Diagnoser::emit_local(NodeId node, const QueuingPeriod& period,
-                           double score, int depth, Diagnosis& out) const {
+                           double score, int depth, PreSetCache& cache,
+                           Diagnosis& out) const {
   CausalRelation rel;
   rel.culprit = {node, CauseKind::kLocalProcessing};
   rel.score = score;
   rel.culprit_t0 = period.start;
   rel.culprit_t1 = period.end;
   rel.depth = depth;
-  rel.flows = period_flows(node, period, score);
+  rel.flows = period_flows(*cache.get(node, period), score,
+                           opts_.max_flows_per_relation);
   out.relations.push_back(std::move(rel));
-}
-
-void Diagnoser::emit_source(NodeId source, double score, int depth, TimeNs t0,
-                            TimeNs t1,
-                            const std::vector<std::uint32_t>& journeys,
-                            Diagnosis& out) const {
-  CausalRelation rel;
-  rel.culprit = {source, CauseKind::kSourceTraffic};
-  rel.score = score;
-  rel.culprit_t0 = t0;
-  rel.culprit_t1 = t1;
-  rel.depth = depth;
-  std::unordered_map<std::uint64_t, std::pair<FiveTuple, double>> counts;
-  for (const std::uint32_t jid : journeys) {
-    const Journey& j = rt_->journey(jid);
-    auto& e = counts[flow_hash(j.flow)];
-    e.first = j.flow;
-    e.second += 1.0;
-  }
-  for (auto& [h, fc] : counts)
-    rel.flows.push_back(
-        {fc.first, score * fc.second / static_cast<double>(journeys.size())});
-  std::sort(rel.flows.begin(), rel.flows.end(), flow_weight_before);
-  if (rel.flows.size() > opts_.max_flows_per_relation)
-    rel.flows.resize(opts_.max_flows_per_relation);
-  out.relations.push_back(std::move(rel));
-}
-
-std::vector<FlowWeight> Diagnoser::period_flows(NodeId node,
-                                                const QueuingPeriod& period,
-                                                double score) const {
-  std::vector<FlowWeight> out;
-  const NodeTimeline& tl = rt_->timeline(node);
-  std::unordered_map<std::uint64_t, std::pair<FiveTuple, double>> counts;
-  double total = 0.0;
-  for (std::size_t i = period.first_arrival; i < period.last_arrival; ++i) {
-    const trace::Arrival& a = tl.arrivals[i];
-    if (a.journey == kNoJourney) continue;
-    const Journey& j = rt_->journey(a.journey);
-    auto& e = counts[flow_hash(j.flow)];
-    e.first = j.flow;
-    e.second += 1.0;
-    total += 1.0;
-  }
-  if (total == 0.0) return out;
-  for (auto& [h, fc] : counts)
-    out.push_back({fc.first, score * fc.second / total});
-  std::sort(out.begin(), out.end(), flow_weight_before);
-  if (out.size() > opts_.max_flows_per_relation)
-    out.resize(opts_.max_flows_per_relation);
-  return out;
 }
 
 }  // namespace microscope::core

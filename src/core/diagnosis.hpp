@@ -7,6 +7,7 @@
 
 #include "common/thread_pool.hpp"
 #include "core/period.hpp"
+#include "core/preset.hpp"
 #include "core/provenance.hpp"
 #include "core/relation.hpp"
 #include "core/timespan.hpp"
@@ -25,9 +26,12 @@ struct DiagnoserOptions {
   /// k in the "beyond k standard deviations" hop-abnormality test.
   double abnormal_stddev_k = 1.0;
   /// Fan out diagnose_all() across a work-stealing pool. Defaults to
-  /// sequential; results are always collected in victim order, and each
-  /// per-victim diagnosis is a pure function of the (immutable)
-  /// reconstructed trace, so parallel output is byte-identical.
+  /// sequential. Work is sharded by queuing period: each task owns its
+  /// PreSet accumulators and diagnoses whole periods (a large one split
+  /// into contiguous chunks, each rebuilding its accumulator). An
+  /// accumulator yields exactly what a rescan of its arrivals would, and
+  /// results land in victim order, so output is byte-identical at any
+  /// thread count.
   ParallelOptions parallel{};
   /// Online window index to stamp on trace spans recorded inside
   /// diagnose() (obs/tracing correlation tag). Carried through options
@@ -46,9 +50,10 @@ class Diagnoser {
   /// diagnosis itself is unaffected — capture is observation only).
   Diagnosis diagnose(const Victim& victim, Provenance* prov = nullptr) const;
 
-  /// Diagnose every victim, sharded across the pool configured by
-  /// options().parallel; out[i] is diagnose(victims[i]) regardless of
-  /// scheduling.
+  /// Diagnose every victim; out[i] is diagnose(victims[i]) regardless of
+  /// scheduling. Victims whose queuing periods start at the same arrival
+  /// of the same node share one PreSet accumulator (preset.hpp), so a
+  /// period's arrivals are folded once rather than once per victim.
   std::vector<Diagnosis> diagnose_all(const std::vector<Victim>& victims) const;
 
   // --- victim selection -------------------------------------------------
@@ -92,27 +97,26 @@ class Diagnoser {
   const DiagnoserOptions& options() const { return opts_; }
 
  private:
+  /// The queuing period a victim is diagnosed over; nullopt when its node
+  /// has no timeline or its queue was empty.
+  std::optional<QueuingPeriod> victim_period(const Victim& v) const;
+
+  /// diagnose() given the victim's period, reading PreSets from `cache`.
+  Diagnosis diagnose_in(const Victim& v,
+                        const std::optional<QueuingPeriod>& period,
+                        PreSetCache& cache, Provenance* prov) const;
+
   /// Distribute `base_score` of input-driven queue buildup at `node` over
   /// the given period among upstream culprits; recurse (§4.2-§4.3).
   /// `prov`/`prov_parent` (nullable / -1) capture a PropagationStep per
   /// invocation, linked into the provenance tree.
   void propagate(NodeId node, const QueuingPeriod& period, double base_score,
-                 int depth, std::uint32_t victim_journey, Diagnosis& out,
-                 Provenance* prov, int prov_parent) const;
+                 int depth, std::uint32_t victim_journey, PreSetCache& cache,
+                 Diagnosis& out, Provenance* prov, int prov_parent) const;
 
   /// Emit a local-processing relation at `node` for `period`.
   void emit_local(NodeId node, const QueuingPeriod& period, double score,
-                  int depth, Diagnosis& out) const;
-
-  /// Emit a source-traffic relation.
-  void emit_source(NodeId source, double score, int depth, TimeNs t0,
-                   TimeNs t1, const std::vector<std::uint32_t>& journeys,
-                   Diagnosis& out) const;
-
-  /// Culprit flows of the packets arriving at `node` during `period`.
-  std::vector<FlowWeight> period_flows(NodeId node,
-                                       const QueuingPeriod& period,
-                                       double score) const;
+                  int depth, PreSetCache& cache, Diagnosis& out) const;
 
   Victim make_latency_victim(std::uint32_t jid) const;
 

@@ -281,6 +281,10 @@ void register_pipeline_metrics(Registry& reg) {
   reg.histogram("core.diagnose.total_ns");
   reg.histogram("core.diagnose.depth", depth_bounds());
   reg.histogram("core.diagnose.relation_score", score_bounds());
+  // Shared-period diagnosis: arrivals folded into PreSet accumulators, and
+  // accumulators rebuilt from their period start (DESIGN.md §6).
+  reg.counter("core.diagnose.preset_arrivals");
+  reg.counter("core.diagnose.preset_rebuilds");
   // Conservation check: accumulated |rounding error| between each
   // propagated S_i and the sum of the shares handed out for it.
   reg.gauge("core.diagnosis.attribution_residual");
@@ -297,6 +301,12 @@ void register_pipeline_metrics(Registry& reg) {
   reg.gauge("online.ring_dropped_records");
   reg.gauge("online.retained_batches");
   reg.gauge("online.retained_bytes");
+  reg.counter("online.index_renumbers");
+  // Window-close stage timers; together they tile online.window_close_ns.
+  for (const char* stage : {"store", "evict", "align", "timeline", "walk",
+                            "victims", "diagnose", "rollback", "aggregate",
+                            "publish"})
+    reg.histogram(std::string("online.stage.") + stage + "_ns");
   // Stage 5b: culprit aggregation (exact board cap + bounded-memory
   // sketch mode, DESIGN.md §14).
   reg.counter("agg.board_evicted");

@@ -4,9 +4,13 @@
 // bug found through recursion (Fig. 8 / §1).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "core/diagnosis.hpp"
 #include "eval/experiment.hpp"
 #include "eval/scenarios.hpp"
+#include "nf/generate.hpp"
 #include "nf/inject.hpp"
 #include "nf/traffic.hpp"
 #include "sim/simulator.hpp"
@@ -287,6 +291,142 @@ TEST(Diagnosis, ThroughputVictimSelection) {
   EXPECT_GT(victims.size(), 0u);
   for (const Victim& v : victims)
     EXPECT_EQ(v.kind, Victim::Kind::kLowThroughput);
+}
+
+/// FNV-1a over every field of a diagnosis list (doubles by bit pattern).
+class Fnv1a {
+ public:
+  template <typename T>
+  void add(const T& v) {
+    unsigned char b[sizeof(T)];
+    std::memcpy(b, &v, sizeof(T));
+    for (const unsigned char c : b) h_ = (h_ ^ c) * 0x100000001b3ULL;
+  }
+  void add(const FiveTuple& f) {
+    add(f.src_ip);
+    add(f.dst_ip);
+    add(f.src_port);
+    add(f.dst_port);
+    add(f.proto);
+  }
+  void add(const std::vector<Diagnosis>& ds) {
+    add(ds.size());
+    for (const Diagnosis& d : ds) {
+      add(d.victim.journey);
+      add(d.victim.node);
+      add(d.victim.time);
+      add(static_cast<std::uint8_t>(d.victim.kind));
+      add(d.victim.hop_latency);
+      add(d.victim.e2e_latency);
+      add(d.victim.flow);
+      add(d.relations.size());
+      for (const CausalRelation& r : d.relations) {
+        add(r.culprit.node);
+        add(static_cast<std::uint8_t>(r.culprit.kind));
+        add(r.score);
+        add(r.culprit_t0);
+        add(r.culprit_t1);
+        add(r.depth);
+        add(r.flows.size());
+        for (const FlowWeight& fw : r.flows) {
+          add(fw.flow);
+          add(fw.weight);
+        }
+      }
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_{0xcbf29ce484222325ULL};
+};
+
+std::uint64_t digest_of(const trace::ReconstructedTrace& rt,
+                        const std::vector<RatePerNs>& rates,
+                        const std::vector<Victim>& victims) {
+  Fnv1a h;
+  h.add(Diagnoser(rt, rates).diagnose_all(victims));
+  return h.value();
+}
+
+// Byte identity of diagnose_all on fixed seeds, pinned by digests recorded
+// from the per-victim implementation that preceded shared-period
+// diagnosis. A change to any relation, score bit, interval or culprit flow
+// changes the digest.
+TEST(Diagnosis, GoldenDigestFig10Interrupt) {
+  sim::Simulator sim;
+  collector::Collector col;
+  auto net = eval::build_fig10(sim, &col);
+  nf::CaidaLikeOptions topts;
+  topts.duration = 20_ms;
+  topts.rate_mpps = 1.2;
+  topts.num_flows = 500;
+  topts.seed = 31;
+  net.topo->source(net.source).load(nf::generate_caida_like(topts));
+  nf::InjectionLog log;
+  nf::schedule_interrupt(sim, net.topo->nf(net.nats[0]), 6_ms, 800_us, log);
+  sim.run_until(35_ms);
+
+  const auto rt = reconstruct_of(*net.topo, col);
+  const Diagnoser d(rt, net.topo->peak_rates());
+  const auto victims = d.latency_victims_by_threshold(100_us);
+  ASSERT_GT(victims.size(), 100u);
+  EXPECT_EQ(digest_of(rt, net.topo->peak_rates(), victims),
+            0x187b251d6f55178cULL);
+}
+
+TEST(Diagnosis, GoldenDigestFig10BurstWithDrops) {
+  sim::Simulator sim;
+  collector::Collector col;
+  auto net = eval::build_fig10(sim, &col);
+  nf::CaidaLikeOptions topts;
+  topts.duration = 20_ms;
+  topts.rate_mpps = 1.0;
+  topts.num_flows = 500;
+  topts.seed = 32;
+  auto traffic = nf::generate_caida_like(topts);
+  nf::inject_burst(traffic, flow_a(), 8_ms, 1800, 20, 1);
+  net.topo->source(net.source).load(std::move(traffic));
+  sim.run_until(35_ms);
+
+  const auto rt = reconstruct_of(*net.topo, col);
+  const Diagnoser d(rt, net.topo->peak_rates());
+  auto victims = d.latency_victims_by_threshold(150_us);
+  const auto drops = d.drop_victims();
+  ASSERT_GT(drops.size(), 0u);
+  victims.insert(victims.end(), drops.begin(), drops.end());
+  EXPECT_EQ(digest_of(rt, net.topo->peak_rates(), victims),
+            0x090f10f507c0c80cULL);
+}
+
+TEST(Diagnosis, GoldenDigestGenerated200NfDag) {
+  sim::Simulator sim;
+  collector::Collector col;
+  nf::TopologyGenOptions o;
+  o.shape = nf::GenShape::kRandomDag;
+  o.num_nfs = 200;
+  o.layers = 10;
+  o.max_fanout = 4;
+  o.offered_rate_mpps = 0.8;
+  o.seed = 33;
+  auto g = nf::generate_topology(sim, &col, o);
+  nf::CaidaLikeOptions topts;
+  topts.duration = 6_ms;
+  topts.rate_mpps = 0.8;
+  topts.num_flows = 300;
+  topts.seed = 34;
+  g.topo->source(g.source).load(nf::generate_caida_like(topts));
+  nf::InjectionLog log;
+  nf::schedule_interrupt(sim, g.topo->nf(g.entry_nfs.front()), 2_ms, 600_us,
+                         log);
+  sim.run_until(40_ms);
+
+  const auto rt = reconstruct_of(*g.topo, col);
+  const Diagnoser d(rt, g.topo->peak_rates());
+  const auto victims = d.latency_victims_by_threshold(50_us);
+  ASSERT_GT(victims.size(), 100u);
+  EXPECT_EQ(digest_of(rt, g.topo->peak_rates(), victims),
+            0x6dbe2625410f1f6dULL);
 }
 
 }  // namespace

@@ -9,7 +9,14 @@
 #include <thread>
 #include <vector>
 
+#include "eval/scenarios.hpp"
+#include "nf/inject.hpp"
+#include "nf/traffic.hpp"
 #include "obs/metrics.hpp"
+#include "online/engine.hpp"
+#include "online/replay.hpp"
+#include "sim/simulator.hpp"
+#include "trace/graph.hpp"
 
 namespace microscope::obs {
 namespace {
@@ -194,6 +201,45 @@ TEST(Registry, PipelineMetricsCoverEveryStage) {
   EXPECT_NE(s.find("trace.reconstruct.journeys"), nullptr);
   EXPECT_NE(s.find("core.diagnose.victims"), nullptr);
   EXPECT_NE(s.find("online.windows_closed"), nullptr);
+}
+
+TEST(Registry, PipelineMetricsPreRegisterEveryEngineAndDiagnoserName) {
+  SKIP_IF_METRICS_DISABLED();
+  // Drive a short follow run so the online engine and the diagnoser
+  // resolve every metric they use in the global registry.
+  sim::Simulator sim;
+  collector::Collector col;
+  auto net = eval::build_fig10(sim, &col);
+  nf::CaidaLikeOptions topts;
+  topts.duration = 6_ms;
+  topts.rate_mpps = 1.0;
+  topts.num_flows = 200;
+  net.topo->source(net.source).load(nf::generate_caida_like(topts));
+  nf::InjectionLog log;
+  nf::schedule_interrupt(sim, net.topo->nf(net.nats[0]), 2_ms, 600_us, log);
+  sim.run_until(15_ms);
+  online::OnlineOptions oopt;
+  oopt.window_ns = 2_ms;
+  oopt.latency_threshold = 100_us;
+  online::OnlineEngine eng(trace::graph_view(*net.topo),
+                           net.topo->peak_rates(), oopt);
+  std::size_t diagnoses = 0;
+  for (const online::WindowResult& w : online::replay_collector(col, eng))
+    diagnoses += w.diagnoses.size();
+  ASSERT_GT(diagnoses, 0u);
+
+  Registry pre;
+  register_pipeline_metrics(pre);
+  const Snapshot registered = pre.snapshot();
+  std::size_t checked = 0;
+  for (const MetricSnapshot& m : Registry::global().snapshot().metrics) {
+    if (m.name.rfind("online.", 0) != 0 && m.name.rfind("core.", 0) != 0)
+      continue;
+    ++checked;
+    EXPECT_NE(registered.find(m.name), nullptr)
+        << m.name << " is resolved but not pre-registered";
+  }
+  EXPECT_GT(checked, 20u);
 }
 
 // Writers never block on a snapshot, and a snapshot never tears a single

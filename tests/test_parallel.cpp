@@ -3,11 +3,16 @@
 // timeline entry, alignment, stat, and causal relation — to a sequential
 // run of the same collector records. The scenarios cover multi-hop
 // delivery, queue drops, policy-free interrupt propagation, and a
-// randomized-seed property sweep.
+// randomized-seed property sweep. The shared-period tests pin that
+// diagnose_all, which folds each queuing period once for all its victims,
+// equals per-victim diagnose() on any victim list at any thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "common/simd.hpp"
@@ -288,6 +293,224 @@ TEST(Parallel, SimdScalarIdentityGenerated200Nf) {
 
   check_simd_matrix(col, graph_view(*g.topo), g.topo->options().prop_delay,
                     g.topo->peak_rates(), 50_us);
+}
+
+/// diagnose_all(victims) at 0/2/4 threads must equal diagnose(v) for every
+/// victim of the list, whatever the list's order or repetitions.
+void expect_shared_period_identical(const ReconstructedTrace& rt,
+                                    const std::vector<RatePerNs>& rates,
+                                    const std::vector<Victim>& victims,
+                                    const std::string& what) {
+  ASSERT_FALSE(victims.empty()) << what << ": no victims";
+  const Diagnoser single(rt, rates);
+  std::vector<Diagnosis> golden;
+  golden.reserve(victims.size());
+  for (const Victim& v : victims) golden.push_back(single.diagnose(v));
+  std::size_t relations = 0;
+  for (const Diagnosis& d : golden) relations += d.relations.size();
+  EXPECT_GT(relations, 0u) << what << ": nothing diagnosed";
+  for (const unsigned threads : {0u, 2u, 4u}) {
+    DiagnoserOptions dopt;
+    dopt.parallel.num_threads = threads;
+    const std::vector<Diagnosis> got =
+        Diagnoser(rt, rates, dopt).diagnose_all(victims);
+    ASSERT_EQ(got.size(), golden.size());
+    std::size_t differ = 0;
+    for (std::size_t i = 0; i < got.size(); ++i)
+      if (!(got[i] == golden[i])) ++differ;
+    EXPECT_EQ(differ, 0u) << what << " at " << threads << " threads";
+  }
+}
+
+/// The victim list reshaped three ways: shuffled, with a seeded subset
+/// repeated, and re-anchored at every hop of each victim's journey (many
+/// victims at several nodes sharing each period, and periods that are also
+/// recursion targets of downstream victims).
+std::vector<std::pair<std::string, std::vector<Victim>>> victim_lists(
+    const ReconstructedTrace& rt, const std::vector<Victim>& base,
+    std::size_t max_reanchored = 1500) {
+  std::mt19937_64 rng(42);
+  std::vector<Victim> shuffled = base;
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  std::vector<Victim> repeated = shuffled;
+  for (std::size_t i = 0; i < base.size(); i += 3) repeated.push_back(base[i]);
+  std::shuffle(repeated.begin(), repeated.end(), rng);
+  std::vector<Victim> reanchored;
+  for (const Victim& v : base) {
+    if (reanchored.size() >= max_reanchored) break;
+    for (const Hop& h : rt.journey(v.journey).hops) {
+      Victim r = v;
+      r.node = h.node;
+      r.time = h.arrival;
+      reanchored.push_back(r);
+    }
+  }
+  return {{"base", base},
+          {"shuffled", shuffled},
+          {"repeated", repeated},
+          {"reanchored", reanchored}};
+}
+
+void check_shared_period(const ReconstructedTrace& rt,
+                         const std::vector<RatePerNs>& rates,
+                         const std::vector<Victim>& base,
+                         const std::string& scenario) {
+  for (const auto& [name, list] : victim_lists(rt, base))
+    expect_shared_period_identical(rt, rates, list, scenario + "/" + name);
+}
+
+TEST(Parallel, SharedPeriodMixedLatencyAndDropVictims) {
+  // A line-rate burst overflows its NAT's queue: latency victims of the
+  // burst and of an interrupt, and the burst's drop victims, diagnose in
+  // one list.
+  sim::Simulator sim;
+  collector::Collector col;
+  auto net = eval::build_fig10(sim, &col);
+  nf::CaidaLikeOptions topts;
+  topts.duration = 15_ms;
+  topts.rate_mpps = 1.2;
+  topts.num_flows = 400;
+  topts.seed = 21;
+  auto traffic = nf::generate_caida_like(topts);
+  nf::inject_burst(traffic, FiveTuple{make_ipv4(10, 9, 9, 9),
+                                      make_ipv4(20, 9, 9, 9), 999, 80, 6},
+                   9_ms, 1800, 20, 21);
+  net.topo->source(net.source).load(std::move(traffic));
+  nf::InjectionLog log;
+  nf::schedule_interrupt(sim, net.topo->nf(net.nats[1]), 4_ms, 600_us, log);
+  sim.run_until(30_ms);
+
+  ReconstructOptions ropt;
+  ropt.prop_delay = net.topo->options().prop_delay;
+  const auto rt = reconstruct(col, graph_view(*net.topo), ropt);
+  const Diagnoser d(rt, net.topo->peak_rates());
+  std::vector<Victim> victims = d.latency_victims_by_threshold(150_us);
+  const std::vector<Victim> drops = d.drop_victims();
+  ASSERT_FALSE(drops.empty());
+  ASSERT_FALSE(victims.empty());
+  victims.insert(victims.end(), drops.begin(), drops.end());
+  check_shared_period(rt, net.topo->peak_rates(), victims, "fig10");
+}
+
+TEST(Parallel, SharedPeriodFlowsSplitAcrossPaths) {
+  // Per-packet spraying over the NATs: every flow reaches the firewalls
+  // and VPNs along several paths, so culprit flows must be summed across
+  // path groups rather than merged.
+  sim::Simulator sim;
+  collector::Collector col;
+  auto net = eval::build_fig10(sim, &col);
+  net.topo->source(net.source).set_router(
+      [nats = net.nats](const Packet& p) { return nats[p.uid % nats.size()]; });
+  nf::CaidaLikeOptions topts;
+  topts.duration = 10_ms;
+  topts.rate_mpps = 1.0;
+  topts.num_flows = 60;
+  topts.seed = 5;
+  net.topo->source(net.source).load(nf::generate_caida_like(topts));
+  nf::InjectionLog log;
+  nf::schedule_interrupt(sim, net.topo->nf(net.firewalls[0]), 3_ms, 500_us,
+                         log);
+  sim.run_until(25_ms);
+
+  ReconstructOptions ropt;
+  ropt.prop_delay = net.topo->options().prop_delay;
+  const auto rt = reconstruct(col, graph_view(*net.topo), ropt);
+  const Diagnoser d(rt, net.topo->peak_rates());
+  check_shared_period(rt, net.topo->peak_rates(),
+                      d.latency_victims_by_threshold(60_us), "sprayed");
+}
+
+TEST(Parallel, SharedPeriodGenerated200NfDag) {
+  sim::Simulator sim;
+  collector::Collector col;
+  nf::TopologyGenOptions o;
+  o.shape = nf::GenShape::kRandomDag;
+  o.num_nfs = 200;
+  o.layers = 10;
+  o.max_fanout = 4;
+  o.offered_rate_mpps = 0.8;
+  o.seed = 7;
+  auto g = nf::generate_topology(sim, &col, o);
+  nf::CaidaLikeOptions topts;
+  topts.duration = 5_ms;
+  topts.rate_mpps = 0.8;
+  topts.num_flows = 250;
+  topts.seed = 9;
+  g.topo->source(g.source).load(nf::generate_caida_like(topts));
+  nf::InjectionLog log;
+  nf::schedule_interrupt(sim, g.topo->nf(g.entry_nfs.front()), 2_ms, 500_us,
+                         log);
+  sim.run_until(40_ms);
+
+  ReconstructOptions ropt;
+  ropt.prop_delay = g.topo->options().prop_delay;
+  const auto rt = reconstruct(col, graph_view(*g.topo), ropt);
+  const Diagnoser d(rt, g.topo->peak_rates());
+  check_shared_period(rt, g.topo->peak_rates(),
+                      d.latency_victims_by_threshold(50_us), "dag200");
+}
+
+TEST(Parallel, SharedPeriodScenarioFamilies) {
+  {
+    eval::DeepDagOptions o;
+    o.gen.num_nfs = 120;
+    o.gen.layers = 8;
+    o.gen.target_utilization = 0.35;
+    o.traffic.duration = 40_ms;
+    o.traffic.rate_mpps = 0.8;
+    o.traffic.num_flows = 800;
+    o.interrupts = 2;
+    o.interrupt_min = 2_ms;
+    o.interrupt_max = 3_ms;
+    o.first_at = 10_ms;
+    o.spacing = 15_ms;
+    o.min_target_layer = 3;
+    o.drain = 10_ms;
+    const eval::DeepDagRun run = eval::run_deep_dag(o);
+    const auto rt = run.reconstruct();
+    const Diagnoser d(rt, run.peak_rates());
+    check_shared_period(rt, run.peak_rates(),
+                        d.latency_victims_by_percentile(99.5), "deep_dag");
+  }
+  {
+    eval::StallOptions o;
+    o.gen.num_nfs = 60;
+    o.gen.layers = 5;
+    o.connections = 12;
+    o.conn_rate_mpps = 0.01;
+    o.background.duration = 60_ms;
+    o.background.rate_mpps = 0.6;
+    o.background.num_flows = 1200;
+    o.interrupts = 2;
+    o.first_at = 20_ms;
+    o.spacing = 20_ms;
+    const eval::StallRun run = eval::run_connection_stall(o);
+    const auto rt = run.reconstruct();
+    const Diagnoser d(rt, run.peak_rates());
+    check_shared_period(rt, run.peak_rates(), d.connection_stall_victims(1_ms),
+                        "stall");
+  }
+  for (const bool fail_primary : {false, true}) {
+    // Resharding moves flows between NATs mid-run, so one flow's packets
+    // reach a queue along two paths: culprit flows must sum across them.
+    eval::FailoverOptions o;
+    o.traffic.duration = 70_ms;
+    o.traffic.rate_mpps = 0.9;
+    o.traffic.num_flows = 1000;
+    o.event_at = 35_ms;
+    o.fail_primary = fail_primary;
+    o.interrupts_before = 1;
+    o.interrupts_after = 1;
+    o.first_at = 15_ms;
+    o.spacing = 30_ms;
+    o.drain = 10_ms;
+    const eval::FailoverRun run = eval::run_failover(o);
+    const auto rt = run.reconstruct();
+    const Diagnoser d(rt, run.peak_rates());
+    check_shared_period(rt, run.peak_rates(),
+                        d.latency_victims_by_percentile(99.0),
+                        fail_primary ? "failover" : "scale_out");
+  }
 }
 
 TEST(Parallel, ThreadPoolCoversEveryIndexOnce) {
