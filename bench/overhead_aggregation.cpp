@@ -8,7 +8,6 @@
 #include "autofocus/aggregate.hpp"
 #include "common/rng.hpp"
 #include "online/aggregator.hpp"
-#include "sketch/sketch_aggregator.hpp"
 
 using namespace microscope;
 using namespace microscope::autofocus;
@@ -109,8 +108,8 @@ BENCHMARK(BM_SideHhh)->Arg(1'000)->Arg(10'000)->Arg(50'000)
     ->Unit(benchmark::kMillisecond);
 
 // One diagnosis window synthesized from the same hot/noise mix as
-// synth_relations, for the per-window ingest cost of the two live
-// aggregation modes (exact retained-window vs bounded-memory sketch).
+// synth_relations, for the per-window ingest cost of the live culprit
+// aggregator.
 std::vector<core::Diagnosis> synth_window(std::size_t n, std::uint64_t seed) {
   const auto records = synth_relations(n, seed);
   std::vector<core::Diagnosis> out;
@@ -143,30 +142,6 @@ void BM_StreamingIngest(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_StreamingIngest)->Arg(1'000)->Arg(10'000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SketchIngest(benchmark::State& state) {
-  const auto window =
-      synth_window(static_cast<std::size_t>(state.range(0)), 42);
-  online::StreamingAggregatorOptions sopts;
-  sopts.decay = 0.8;
-  sketch::SketchAggregator agg(
-      sketch::SketchOptions::from_streaming(
-          sopts, static_cast<std::size_t>(state.range(1))),
-      bench_catalog());
-  for (auto _ : state) {
-    agg.ingest(window);
-    benchmark::DoNotOptimize(agg.windows_ingested());
-  }
-  state.counters["memory_bytes"] = static_cast<double>(agg.memory_bytes());
-  state.counters["hh_evicted"] =
-      static_cast<double>(agg.stats().hh_evicted);
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SketchIngest)
-    ->Args({1'000, 256 << 10})
-    ->Args({1'000, 1 << 20})
-    ->Args({10'000, 1 << 20})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -27,12 +27,6 @@
 //                                     record instead of counting + resyncing
 //                                     (exit code 3)
 //     --window <ms>                   online window size (default 10)
-//     --agg-memory-budget <bytes>     follow modes: cap the live culprit
-//                                     aggregation at this byte budget by
-//                                     switching to the count-min/heavy-
-//                                     hitter sketch aggregator (suffixes
-//                                     k/m/g accepted; 0 = exact, the
-//                                     default; see DESIGN.md §14)
 //     --patterns                      also run pattern aggregation
 //     --json                          emit the report as JSON
 //     --metrics[=json]                after the report, dump the pipeline's
@@ -144,19 +138,6 @@ struct BugSpec {
   std::exit(2);
 }
 
-/// Parse a byte count with an optional k/m/g suffix (binary multiples).
-std::size_t parse_bytes_or_die(const std::string& s) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || v < 0) usage_error("bad byte count " + s);
-  double mult = 1.0;
-  if (*end == 'k' || *end == 'K') mult = 1024.0;
-  else if (*end == 'm' || *end == 'M') mult = 1024.0 * 1024.0;
-  else if (*end == 'g' || *end == 'G') mult = 1024.0 * 1024.0 * 1024.0;
-  else if (*end != '\0') usage_error("bad byte count " + s);
-  return static_cast<std::size_t>(v * mult);
-}
-
 const char* culprit_name(const autofocus::NfCatalog& catalog, NodeId node) {
   return node < catalog.node_names.size() ? catalog.node_names[node].c_str()
                                           : "?";
@@ -186,20 +167,6 @@ online::WindowCallback follow_observer(std::size_t metrics_every,
     if (pace_ms > 0)
       std::this_thread::sleep_for(std::chrono::milliseconds(pace_ms));
   };
-}
-
-/// With --agg-memory-budget: one line of sketch internals (table shape,
-/// fill, evictions, current error bound). No-op in exact mode.
-void print_sketch_summary(const online::CulpritAggregator& agg) {
-  const auto* sk = dynamic_cast<const sketch::SketchAggregator*>(&agg);
-  if (!sk) return;
-  const sketch::SketchStats st = sk->stats();
-  std::cout << "sketch: budget " << st.budget_bytes << " B, cm " << st.width
-            << "x" << st.depth << ", tracked " << st.tracked_size << "/"
-            << st.tracked_capacity << ", board " << st.board_size << "/"
-            << st.board_capacity << ", evicted " << st.hh_evicted << " hh + "
-            << st.board_evicted << " board, est err <= " << st.est_error_bound
-            << "\n";
 }
 
 /// Stream counters and the live culprit board (windows were already
@@ -234,7 +201,6 @@ void print_follow_summary(const online::OnlineEngine& eng,
                 << core::to_string(t.culprit.kind) << "]  score " << t.score
                 << "  (" << t.windows_seen << " windows)\n";
   }
-  print_sketch_summary(eng.aggregator());
 }
 
 /// Parse a dotted quad; exits with a usage error on malformed input.
@@ -325,7 +291,6 @@ int main(int argc, char** argv) {
   std::string trace_out;
   std::string trace_jsonl;
   std::string explain_spec;
-  std::size_t agg_memory_budget = 0;
   std::string http_spec;
   std::size_t sample_every_ms = 1000;
   std::size_t http_linger_ms = 0;
@@ -367,8 +332,6 @@ int main(int argc, char** argv) {
       strict_decode = true;
     } else if (arg == "--window") {
       window = static_cast<DurationNs>(std::atof(next().c_str()) * 1e6);
-    } else if (arg == "--agg-memory-budget") {
-      agg_memory_budget = parse_bytes_or_die(next());
     } else if (arg == "--patterns") {
       want_patterns = true;
     } else if (arg == "--json") {
@@ -474,10 +437,6 @@ int main(int argc, char** argv) {
                                      : collector::DecodePolicy::kLenient;
   oopt.decode.max_ts_regression_ns = 10_ms;
   oopt.max_retained_batches = max_retained;
-  if (agg_memory_budget > 0) {
-    oopt.agg_memory_budget = agg_memory_budget;
-    oopt.agg_catalog = eval::make_catalog(topo);
-  }
 
   // Registered up front so --metrics exports enumerate every pipeline
   // stage, zero-valued where this invocation never ran one.
@@ -503,8 +462,7 @@ int main(int argc, char** argv) {
     if (!obs::parse_http_address(http_spec, hopt, &err)) usage_error(err);
     hub = std::make_shared<obs::IntrospectionHub>();
     oopt.introspection = hub;
-    if (oopt.agg_catalog.node_names.empty())
-      oopt.agg_catalog = eval::make_catalog(topo);
+    oopt.node_names = eval::make_catalog(topo).node_names;
     series = std::make_unique<obs::TimeSeriesStore>();
     watchdog = std::make_unique<obs::HealthWatchdog>(obs::Registry::global(),
                                                      *series, health_opts);

@@ -83,8 +83,9 @@ Diagnoser::Diagnoser(const trace::ReconstructedTrace& rt,
 }
 
 std::vector<Diagnosis> Diagnoser::diagnose_all(
-    const std::vector<Victim>& victims) const {
+    const std::vector<Victim>& victims, std::vector<Provenance>* provs) const {
   std::vector<Diagnosis> out(victims.size());
+  if (provs) provs->resize(victims.size());
   std::vector<std::optional<QueuingPeriod>> periods(victims.size());
   for (std::size_t i = 0; i < victims.size(); ++i)
     periods[i] = victim_period(victims[i]);
@@ -134,7 +135,8 @@ std::vector<Diagnosis> Diagnoser::diagnose_all(
           const std::uint64_t mark = cache.tick();
           for (std::size_t k = items[item]; k < items[item + 1]; ++k) {
             const std::uint32_t i = order[k];
-            out[i] = diagnose_in(victims[i], periods[i], cache, nullptr);
+            out[i] = diagnose_in(victims[i], periods[i], cache,
+                                 provs ? &(*provs)[i] : nullptr);
           }
           cache.drop_unused_since(mark);
         }

@@ -53,8 +53,12 @@ class Diagnoser {
   /// Diagnose every victim; out[i] is diagnose(victims[i]) regardless of
   /// scheduling. Victims whose queuing periods start at the same arrival
   /// of the same node share one PreSet accumulator (preset.hpp), so a
-  /// period's arrivals are folded once rather than once per victim.
-  std::vector<Diagnosis> diagnose_all(const std::vector<Victim>& victims) const;
+  /// period's arrivals are folded once rather than once per victim. When
+  /// `provs` is non-null it is resized to victims.size() and (*provs)[i]
+  /// receives the provenance diagnose(victims[i], &p) would write.
+  std::vector<Diagnosis> diagnose_all(
+      const std::vector<Victim>& victims,
+      std::vector<Provenance>* provs = nullptr) const;
 
   // --- victim selection -------------------------------------------------
   /// Delivered packets whose end-to-end latency is above the given

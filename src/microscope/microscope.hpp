@@ -12,8 +12,6 @@
 //   trace/      cross-NF trace reconstruction (IPID disambiguation)
 //   core/       queuing-period diagnosis: local, propagation, recursion
 //   autofocus/  causal pattern aggregation (hierarchical heavy hitters)
-//   sketch/     bounded-memory aggregation: count-min sketch + heavy-
-//               hitter pattern board under a byte budget
 //   online/     streaming diagnosis: windows, watermarks, live aggregation
 //   netmedic/   the time-window-correlation baseline
 //   eval/       paper scenarios, experiment runner, oracle, reports
@@ -67,9 +65,6 @@
 #include "autofocus/aggregate.hpp"
 #include "autofocus/hhh.hpp"
 #include "autofocus/hierarchy.hpp"
-
-#include "sketch/countmin.hpp"
-#include "sketch/sketch_aggregator.hpp"
 
 #include "online/aggregator.hpp"
 #include "online/engine.hpp"

@@ -8,9 +8,9 @@ namespace microscope::obs {
 
 namespace {
 
-constexpr std::size_t kNumSignals = 4;
+constexpr std::size_t kNumSignals = 3;
 constexpr const char* kSignalNames[kNumSignals] = {
-    "watermark_lag", "drop_rate", "sketch_fill", "board_evictions"};
+    "watermark_lag", "drop_rate", "board_evictions"};
 
 double p95_of(std::vector<double> vals) {
   if (vals.empty()) return 0.0;
@@ -28,11 +28,6 @@ double p95_of(std::vector<double> vals) {
 double newest_rate(const TimeSeriesStore& store, std::string_view name) {
   const auto r = store.rate(name, 1);
   return r.empty() ? 0.0 : r.back().value;
-}
-
-double gauge_value(const Snapshot& snap, std::string_view name) {
-  const MetricSnapshot* m = snap.find(name);
-  return m ? m->value : 0.0;
 }
 
 void append_double(std::string& out, double v) {
@@ -64,10 +59,10 @@ HealthWatchdog::HealthWatchdog(Registry& reg, const TimeSeriesStore& store,
     : reg_(reg), store_(store), opts_(opts) {
   const double degraded_at[kNumSignals] = {
       opts_.lag_p95_degraded_ns, opts_.drop_rate_degraded,
-      opts_.sketch_fill_degraded, opts_.evict_rate_degraded};
+      opts_.evict_rate_degraded};
   const double unhealthy_at[kNumSignals] = {
       opts_.lag_p95_unhealthy_ns, opts_.drop_rate_unhealthy,
-      opts_.sketch_fill_unhealthy, opts_.evict_rate_unhealthy};
+      opts_.evict_rate_unhealthy};
   trackers_.resize(kNumSignals);
   for (std::size_t i = 0; i < kNumSignals; ++i) {
     Tracker& t = trackers_[i];
@@ -113,9 +108,10 @@ void HealthWatchdog::feed(Tracker& t, double value) {
   }
 }
 
-void HealthWatchdog::evaluate(const Snapshot& snap) {
-  // Signal values come from the time-series store (rates, p95 history) and
-  // the snapshot (instantaneous gauges); both are safe from this thread.
+void HealthWatchdog::evaluate(const Snapshot& /*snap*/) {
+  // Every signal comes from the time-series store (rates, p95 history),
+  // which the sampler has just fed this snapshot; it is safe from this
+  // thread.
   std::vector<double> lag_hist;
   for (const SeriesPoint& p :
        store_.last("online.watermark_lag_ns", opts_.history)) {
@@ -127,10 +123,9 @@ void HealthWatchdog::evaluate(const Snapshot& snap) {
       newest_rate(store_, "online.late_dropped_batches") +
       newest_rate(store_, "online.backpressure_dropped_batches") +
       newest_rate(store_, "online.ring_dropped_records");
-  const double fill = gauge_value(snap, "sketch.fill_frac");
   const double evict_rate = newest_rate(store_, "agg.board_evicted");
 
-  const double values[kNumSignals] = {lag_p95, drop_rate, fill, evict_rate};
+  const double values[kNumSignals] = {lag_p95, drop_rate, evict_rate};
 
   std::lock_guard<std::mutex> lock(mu_);
   for (std::size_t i = 0; i < kNumSignals; ++i) feed(trackers_[i], values[i]);

@@ -307,13 +307,8 @@ void register_pipeline_metrics(Registry& reg) {
                             "victims", "diagnose", "rollback", "aggregate",
                             "publish"})
     reg.histogram(std::string("online.stage.") + stage + "_ns");
-  // Stage 5b: culprit aggregation (exact board cap + bounded-memory
-  // sketch mode, DESIGN.md §14).
+  // Stage 5b: culprit aggregation (the board's hard cap).
   reg.counter("agg.board_evicted");
-  reg.gauge("sketch.budget_bytes");
-  reg.gauge("sketch.fill_frac");
-  reg.gauge("sketch.est_error_bound");
-  reg.counter("sketch.hh_evicted");
   // Introspection plane (DESIGN.md §15): the HTTP endpoint, the metric
   // sampler, the export renderers, and the health watchdog.
   reg.counter("obs.http.requests");
@@ -326,7 +321,6 @@ void register_pipeline_metrics(Registry& reg) {
 
   // Units for names the suffix heuristic cannot classify (shares, scores,
   // plain entry counts). Everything else derives from its suffix.
-  note_unit("sketch.est_error_bound", MetricUnit::kRatio);
   note_unit("core.diagnosis.attribution_residual", MetricUnit::kPackets);
   note_unit("obs.health.state", MetricUnit::kNone);
   refresh_runtime_gauges(reg);

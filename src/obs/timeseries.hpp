@@ -3,8 +3,8 @@
 //
 // The registry (metrics.hpp) answers "what is the value now"; operators
 // diagnosing a live engine need "what was it over the last minute" —
-// watermark lag creeping up, drop rates spiking during a storm, sketch
-// fill approaching eviction. A Sampler thread snapshots a Registry every
+// watermark lag creeping up, drop rates spiking during a storm, board
+// evictions climbing. A Sampler thread snapshots a Registry every
 // `sample_every` and appends one (wall timestamp, value) point per metric
 // to a TimeSeriesStore ring: counters and gauges record their value,
 // histograms their cumulative count. Memory is strictly bounded:

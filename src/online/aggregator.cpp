@@ -5,7 +5,6 @@
 #include <set>
 
 #include "obs/metrics.hpp"
-#include "sketch/sketch_aggregator.hpp"
 
 namespace microscope::online {
 
@@ -122,15 +121,6 @@ std::size_t StreamingAggregator::retained_records() const {
   std::size_t n = 0;
   for (const auto& w : recent_) n += w.size();
   return n;
-}
-
-std::unique_ptr<CulpritAggregator> make_aggregator(
-    const StreamingAggregatorOptions& opts, std::size_t memory_budget,
-    const autofocus::NfCatalog& catalog) {
-  if (memory_budget == 0)
-    return std::make_unique<StreamingAggregator>(opts);
-  return std::make_unique<sketch::SketchAggregator>(
-      sketch::SketchOptions::from_streaming(opts, memory_budget), catalog);
 }
 
 }  // namespace microscope::online

@@ -97,8 +97,7 @@ OnlineEngine::OnlineEngine(trace::GraphView graph,
       history_(derive_history(opts_)),
       rt_(std::move(graph), opts_.reconstruct),
       wm_(opts_.window_ns, opts_.slack_ns, opts_.idle_timeout_ns),
-      agg_(make_aggregator(opts_.aggregator, opts_.agg_memory_budget,
-                           opts_.agg_catalog)),
+      agg_(opts_.aggregator),
       decoder_(
           [this](NodeId n) { return store_.has_node(n) && store_.full_flow(n); },
           [this](const collector::DecodedBatch& b) {
@@ -220,7 +219,7 @@ std::vector<WindowResult> OnlineEngine::close_ready(bool finishing) {
     }
     {
       obs::ScopedTimer t(m.stage_aggregate_ns);
-      agg_->ingest(res.diagnoses);
+      agg_.ingest(res.diagnoses);
     }
     ++stats_.windows_closed;
     m.windows_closed.add();
@@ -332,14 +331,9 @@ WindowResult OnlineEngine::diagnose_window(const WindowBounds& b) {
 
   {
     obs::ScopedTimer t(m.stage_diagnose_ns);
-    if (opts_.capture_provenance || opts_.introspection) {
-      res.diagnoses.reserve(victims.size());
-      res.provenances.resize(victims.size());
-      for (std::size_t i = 0; i < victims.size(); ++i)
-        res.diagnoses.push_back(diag.diagnose(victims[i], &res.provenances[i]));
-    } else {
-      res.diagnoses = diag.diagnose_all(victims);
-    }
+    const bool capture = opts_.capture_provenance || opts_.introspection;
+    res.diagnoses =
+        diag.diagnose_all(victims, capture ? &res.provenances : nullptr);
   }
   {
     obs::ScopedTimer t(m.stage_rollback_ns);
@@ -424,7 +418,7 @@ void OnlineEngine::publish(const WindowResult& res) const {
   if (order.size() > opts_.explain_top_max)
     order.resize(opts_.explain_top_max);
 
-  const std::vector<std::string>& names = opts_.agg_catalog.node_names;
+  const std::vector<std::string>& names = opts_.node_names;
   std::vector<obs::ExplainEntry> entries;
   entries.reserve(order.size());
   for (const std::size_t i : order) {

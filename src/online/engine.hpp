@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "collector/ring.hpp"
@@ -95,27 +96,20 @@ struct OnlineOptions {
   std::size_t max_retained_batches = 0;
   /// Record full attribution provenance per diagnosis into
   /// WindowResult::provenances (for invariant auditing — e.g. the chaos
-  /// suite's conservation check). Victims are then diagnosed sequentially
-  /// on the calling thread instead of through diagnose_all's pool, so
-  /// leave this off on latency-sensitive paths.
+  /// suite's conservation check). Capture rides the same diagnose_all
+  /// pass as plain runs; it only adds the provenance records themselves.
   bool capture_provenance = false;
   core::DiagnoserOptions diagnoser = streaming_diagnoser_defaults();
   trace::ReconstructOptions reconstruct{};
   StreamingAggregatorOptions aggregator{};
-  /// Nonzero selects the bounded-memory sketch aggregator sized to this
-  /// byte budget (DESIGN.md §14, CLI --agg-memory-budget); 0 keeps the
-  /// exact StreamingAggregator.
-  std::size_t agg_memory_budget = 0;
-  /// NF catalog for the sketch's instance -> type generalization ladder
-  /// (consulted when agg_memory_budget > 0); its node_names also label
-  /// nodes in the introspection hub's /explain renderings.
-  autofocus::NfCatalog agg_catalog{};
+  /// Node display names for the introspection hub's /explain renderings
+  /// (missing entries fall back to "node<N>").
+  std::vector<std::string> node_names{};
   /// Live introspection hub (obs/introspect.hpp). When set, every closed
   /// window is published as a /windows board note, and diagnosed windows
   /// additionally publish rendered --explain output (attribution tree +
-  /// provenance JSON) for their top victims. Provenance capture forces
-  /// the sequential per-victim diagnosis path, same as
-  /// capture_provenance — leave unset on latency-critical runs.
+  /// provenance JSON) for their top victims, so provenance is captured
+  /// as with capture_provenance.
   std::shared_ptr<obs::IntrospectionHub> introspection{};
   /// Max victims rendered per window for /explain, ranked by descending
   /// total attribution score (/explain?top=k serves a prefix of these).
@@ -234,7 +228,7 @@ class OnlineEngine {
   /// Stats snapshot (retained_* recomputed at call time).
   OnlineStats stats() const;
 
-  const CulpritAggregator& aggregator() const { return *agg_; }
+  const StreamingAggregator& aggregator() const { return agg_; }
   const WindowManager& windows() const { return wm_; }
   /// Effective history (after derivation when options.history_ns == 0).
   DurationNs history_ns() const { return history_; }
@@ -266,7 +260,7 @@ class OnlineEngine {
   /// in, waiting for their own window.
   std::vector<core::Victim> carried_;
   WindowManager wm_;
-  std::unique_ptr<CulpritAggregator> agg_;
+  StreamingAggregator agg_;
   collector::WireCallbackDecoder decoder_;
   OnlineStats stats_;
   /// Highest window index announced with a "window.open" trace instant.

@@ -396,8 +396,8 @@ TEST(Export, MetricUnitsClassifyCanonicalNames) {
   EXPECT_EQ(metric_unit("online.watermark_lag_ns"), MetricUnit::kNanoseconds);
   EXPECT_EQ(metric_unit("online.retained_bytes"), MetricUnit::kBytes);
   EXPECT_EQ(metric_unit("online.ring_dropped_records"), MetricUnit::kRecords);
-  EXPECT_EQ(metric_unit("sketch.fill_frac"), MetricUnit::kRatio);
-  EXPECT_EQ(metric_unit("sketch.est_error_bound"), MetricUnit::kRatio);
+  EXPECT_EQ(metric_unit("core.diagnosis.attribution_residual"),
+            MetricUnit::kPackets);
   EXPECT_EQ(metric_unit("obs.start_time_unix"), MetricUnit::kUnixTime);
   EXPECT_EQ(metric_unit("obs.uptime_seconds"), MetricUnit::kSeconds);
   EXPECT_EQ(metric_unit("online.packets_ingested"), MetricUnit::kNone);

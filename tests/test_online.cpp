@@ -4,15 +4,23 @@
 // any window size, thread count, and drain-chunk granularity (modulo
 // victim.journey, a reconstruction-instance-local id). Plus: bounded
 // memory over long streams, idle-node timeouts, late-record and
-// backpressure drop accounting, ring draining, and the live aggregator.
+// backpressure drop accounting, ring draining, and the live aggregator
+// (whose flat-memory soak the nightly job scales up via
+// MICROSCOPE_AGG_SOAK_WINDOWS).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#ifdef __linux__
+#include <fstream>
+#endif
 
 #include "collector/file.hpp"
 #include "collector/ring.hpp"
@@ -841,6 +849,84 @@ TEST(Online, AggregatorPatternsNewestWindowScaleIsExactlyOne) {
     }
   }
   EXPECT_GT(total, 0.0);
+}
+
+#ifdef __linux__
+std::size_t read_vm_rss_kb() {
+  std::ifstream f("/proc/self/status");
+  std::string key;
+  while (f >> key) {
+    if (key == "VmRSS:") {
+      std::size_t kb = 0;
+      f >> kb;
+      return kb;
+    }
+    f.ignore(4096, '\n');
+  }
+  return 0;
+}
+#endif
+
+TEST(Online, AggregatorSoakHoldsMemoryFlat) {
+  // Every window brings entirely fresh culprit and victim flows. The board
+  // is keyed by culprit (node, kind) and the relation records are capped
+  // at max_windows windows, so once that many windows are in, accounted
+  // state and process RSS must stop growing at the default options. The
+  // nightly soak reruns this with MICROSCOPE_AGG_SOAK_WINDOWS=10000.
+  std::size_t windows = 300;
+  if (const char* env = std::getenv("MICROSCOPE_AGG_SOAK_WINDOWS"))
+    windows = static_cast<std::size_t>(std::atoll(env));
+  const StreamingAggregatorOptions aopt;
+  ASSERT_GT(windows, aopt.max_windows);
+  StreamingAggregator agg(aopt);
+  std::mt19937_64 rng(31);
+  const auto random_flow = [&rng] {
+    FiveTuple ft;
+    ft.src_ip = make_ipv4(10, 0, 0, 0) | (rng() & 0xffff);
+    ft.dst_ip = make_ipv4(172, 16, 0, 0) | (rng() & 0xffff);
+    ft.src_port = static_cast<std::uint16_t>(1024 + (rng() % 60000));
+    ft.dst_port = static_cast<std::uint16_t>(rng() % 1024);
+    ft.proto = (rng() & 1) ? 6 : 17;
+    return ft;
+  };
+  std::size_t warm_bytes = 0;
+#ifdef __linux__
+  std::size_t warm_rss_kb = 0;
+#endif
+  for (std::size_t w = 0; w < windows; ++w) {
+    std::vector<Diagnosis> window;
+    for (int i = 0; i < 30; ++i) {
+      Diagnosis d;
+      d.victim.node = static_cast<NodeId>(1 + rng() % 3);
+      d.victim.flow = random_flow();
+      core::CausalRelation rel;
+      rel.culprit = {d.victim.node, core::CauseKind::kLocalProcessing};
+      rel.score = 1.0;
+      rel.culprit_t1 = 1000;
+      rel.flows.push_back({random_flow(), 1.0});
+      d.relations.push_back(rel);
+      window.push_back(std::move(d));
+    }
+    agg.ingest(window);
+    if (w == aopt.max_windows) {
+      warm_bytes = agg.memory_bytes();
+#ifdef __linux__
+      warm_rss_kb = read_vm_rss_kb();
+#endif
+    }
+  }
+  ASSERT_GT(warm_bytes, 0u);
+  // Accounted state flat within 5% after warmup.
+  EXPECT_LE(agg.memory_bytes(), warm_bytes + warm_bytes / 20);
+#ifdef __linux__
+  // Whole-process RSS flat within 5% (+4 MiB allocator slack).
+  const std::size_t final_rss_kb = read_vm_rss_kb();
+  if (warm_rss_kb > 0 && final_rss_kb > 0) {
+    EXPECT_LE(final_rss_kb, warm_rss_kb + warm_rss_kb / 20 + 4096)
+        << "RSS grew from " << warm_rss_kb << " kB to " << final_rss_kb
+        << " kB over " << windows << " windows";
+  }
+#endif
 }
 
 TEST(Online, EngineFeedsAggregatorAcrossWindows) {

@@ -18,6 +18,7 @@
 #include "common/simd.hpp"
 #include "common/thread_pool.hpp"
 #include "core/diagnosis.hpp"
+#include "core/provenance.hpp"
 #include "eval/scenarios.hpp"
 #include "nf/generate.hpp"
 #include "nf/inject.hpp"
@@ -296,7 +297,8 @@ TEST(Parallel, SimdScalarIdentityGenerated200Nf) {
 }
 
 /// diagnose_all(victims) at 0/2/4 threads must equal diagnose(v) for every
-/// victim of the list, whatever the list's order or repetitions.
+/// victim of the list, whatever the list's order or repetitions — and so
+/// must the provenance it captures, byte for byte as JSON.
 void expect_shared_period_identical(const ReconstructedTrace& rt,
                                     const std::vector<RatePerNs>& rates,
                                     const std::vector<Victim>& victims,
@@ -304,21 +306,42 @@ void expect_shared_period_identical(const ReconstructedTrace& rt,
   ASSERT_FALSE(victims.empty()) << what << ": no victims";
   const Diagnoser single(rt, rates);
   std::vector<Diagnosis> golden;
+  std::vector<std::string> golden_prov;
   golden.reserve(victims.size());
-  for (const Victim& v : victims) golden.push_back(single.diagnose(v));
+  golden_prov.reserve(victims.size());
+  for (const Victim& v : victims) {
+    core::Provenance p;
+    golden.push_back(single.diagnose(v, &p));
+    golden_prov.push_back(core::provenance_to_json(p, {}));
+  }
   std::size_t relations = 0;
   for (const Diagnosis& d : golden) relations += d.relations.size();
   EXPECT_GT(relations, 0u) << what << ": nothing diagnosed";
   for (const unsigned threads : {0u, 2u, 4u}) {
     DiagnoserOptions dopt;
     dopt.parallel.num_threads = threads;
-    const std::vector<Diagnosis> got =
-        Diagnoser(rt, rates, dopt).diagnose_all(victims);
+    const Diagnoser diag(rt, rates, dopt);
+    const std::vector<Diagnosis> got = diag.diagnose_all(victims);
     ASSERT_EQ(got.size(), golden.size());
     std::size_t differ = 0;
     for (std::size_t i = 0; i < got.size(); ++i)
       if (!(got[i] == golden[i])) ++differ;
     EXPECT_EQ(differ, 0u) << what << " at " << threads << " threads";
+
+    std::vector<core::Provenance> provs;
+    const std::vector<Diagnosis> got_prov = diag.diagnose_all(victims, &provs);
+    ASSERT_EQ(provs.size(), victims.size());
+    std::size_t diag_differ = 0;
+    std::size_t prov_differ = 0;
+    for (std::size_t i = 0; i < victims.size(); ++i) {
+      if (!(got_prov[i] == golden[i])) ++diag_differ;
+      if (core::provenance_to_json(provs[i], {}) != golden_prov[i])
+        ++prov_differ;
+    }
+    EXPECT_EQ(diag_differ, 0u)
+        << what << " with provenance at " << threads << " threads";
+    EXPECT_EQ(prov_differ, 0u)
+        << what << " provenance JSON at " << threads << " threads";
   }
 }
 
